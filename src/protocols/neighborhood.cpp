@@ -47,48 +47,101 @@ bool detects_conflict(const ClaimSet& claims, NodeId v) {
 std::vector<bool> compute_crash_set(const ClaimSet& claims,
                                     const std::vector<bool>& byz_mask,
                                     sim::Instrumentation* instr) {
-  const auto& overlay = claims.overlay();
-  const auto& g = overlay.g();
+  const auto& g = claims.overlay().g();
   const NodeId n = g.num_nodes();
   if (byz_mask.size() != n) {
     throw std::invalid_argument("compute_crash_set: mask size mismatch");
   }
   std::vector<bool> crashed(n, false);
 
+  // Every node ships its claimed list to each G-neighbor once.
   if (instr != nullptr) {
-    // Every node ships its claimed list to each G-neighbor once.
     for (NodeId u = 0; u < n; ++u) {
-      const auto len = claims.claimed(u).size();
-      for (std::uint64_t e = 0; e < g.degree(u); ++e) {
-        instr->count_setup_list(len);
-      }
+      instr->count_setup_list(claims.claimed(u).size(), g.degree(u));
     }
   }
 
-  // Honest claims are truthful, hence pairwise consistent: only pairs with
-  // at least one Byzantine (or otherwise lying) member can conflict.
-  for (NodeId v = 0; v < n; ++v) {
-    if (byz_mask[v]) continue;
-    const auto nbrs = g.neighbors(v);
-    bool conflict = false;
-    for (std::size_t a = 0; a < nbrs.size() && !conflict; ++a) {
-      const NodeId u = nbrs[a];
-      if (!byz_mask[u] && claims.truthful(u)) continue;
-      if (!claims_edge(claims, u, v)) {  // denies the direct channel
-        conflict = true;
-        break;
+  std::uint64_t crashes = 0;
+  const auto crash = [&](NodeId v) {
+    if (byz_mask[v] || crashed[v]) return;
+    crashed[v] = true;
+    ++crashes;
+  };
+
+  // Only overridden claims can conflict (see the header). The stamps hold
+  // the suspect whose sets they currently mark, so they are never cleared.
+  std::vector<NodeId> in_asym(n, graph::kInvalidNode);
+  std::vector<NodeId> standing_mark(n, graph::kInvalidNode);
+  std::vector<NodeId> suspects;
+  for (NodeId u = 0; u < n; ++u) {
+    if (!claims.truthful(u)) suspects.push_back(u);
+  }
+  std::vector<NodeId> standing;
+  std::vector<NodeId> asym;
+  for (const NodeId u : suspects) {
+    const auto nbrs = g.neighbors(u);
+    // 1. Honest neighbors that u denies see the contradiction on their
+    //    own channel.
+    standing.clear();
+    for (const NodeId v : nbrs) {
+      if (byz_mask[v] || crashed[v]) continue;
+      if (claims_edge(claims, u, v)) {
+        standing.push_back(v);
+      } else {
+        crash(v);
       }
-      for (std::size_t b = 0; b < nbrs.size() && !conflict; ++b) {
-        const NodeId w = nbrs[b];
-        if (w == u) continue;
-        if (claims_edge(claims, u, w) != claims_edge(claims, w, u)) {
-          conflict = true;
+    }
+    if (standing.empty()) continue;
+
+    // 2. Asym(u): the ids w whose claim about u differs from u's claim
+    //    about w. A truthful w claims u iff w ∈ N_G(u), so against truthful
+    //    partners Asym(u) is claimed(u) Δ N_G(u): one merge of the two
+    //    sorted lists. Two suspects that disagree are found from the side
+    //    that claims the other, whose pass crashes the same common
+    //    neighbors. Ids >= n are fabricated; no channel reaches them.
+    asym.clear();
+    const auto add = [&](NodeId w) {
+      in_asym[w] = u;
+      asym.push_back(w);
+    };
+    std::size_t j = 0;
+    const auto add_unclaimed_below = [&](NodeId bound) {
+      for (; j < nbrs.size() && nbrs[j] < bound; ++j) {
+        if (claims.truthful(nbrs[j])) add(nbrs[j]);
+      }
+    };
+    for (const NodeId w : claims.claimed(u)) {
+      if (w >= n) break;
+      add_unclaimed_below(w);
+      const bool g_edge = j < nbrs.size() && nbrs[j] == w;
+      if (g_edge) ++j;
+      if (w == u) continue;
+      if (claims.truthful(w) ? !g_edge : !claims_edge(claims, w, u)) add(w);
+    }
+    add_unclaimed_below(n);
+    if (asym.empty()) continue;
+
+    // 3. A standing v crashes iff N_G(v) meets Asym(u): walk whichever
+    //    side is shorter.
+    if (asym.size() < standing.size()) {
+      for (const NodeId v : standing) standing_mark[v] = u;
+      for (const NodeId w : asym) {
+        for (const NodeId x : g.neighbors(w)) {
+          if (standing_mark[x] == u) crash(x);
+        }
+      }
+    } else {
+      for (const NodeId v : standing) {
+        for (const NodeId x : g.neighbors(v)) {
+          if (in_asym[x] == u) {
+            crash(v);
+            break;
+          }
         }
       }
     }
-    crashed[v] = conflict;
-    if (conflict && instr != nullptr) ++instr->crashes;
   }
+  if (instr != nullptr) instr->crashes += crashes;
   return crashed;
 }
 

@@ -6,11 +6,21 @@
 //   3. absent conflicts, v reconstructs the H-vs-L classification of its
 //      edges via the subset criterion in Lemma 3's proof.
 //
-// Honest nodes always tell the truth, so honest-honest claim pairs can
-// never conflict; every conflict involves a Byzantine claim. The crash-set
-// computation exploits this (it only examines pairs touching a Byzantine
-// node), which makes it exact AND cheap — the message-level engine and the
-// fast path share it.
+// Honest nodes always tell the truth, so only a node whose claim is
+// overridden (a "suspect") can be half of a conflicting pair: a truthful
+// node claims exactly N_G, and two truthful lists always agree. For each
+// suspect u the crash set is built from
+//   Asym(u) = {w != u, w < n : u's claim about w != w's claim about u}.
+// An honest v ∈ N_G(u) crashes iff u denies v or N_G(v) meets Asym(u) —
+// precisely the pairs (u, w ∈ N_G(v)) detects_conflict tests, so the rule
+// is exact. Against truthful partners Asym(u) = claimed(u) Δ N_G(u); two
+// disagreeing suspects are found from whichever one claims the other.
+// Cost: O(n) to find the suspects; per suspect, a merge of claimed(u)
+// with N_G(u), a binary search per neighbor and per suspect partner, and
+// one stamp-array walk over the shorter of Asym(u) and u's surviving
+// neighbors. Truthful Byzantine nodes cost nothing. The message-level
+// engine runs detects_conflict per node instead, and the engine↔fastpath
+// parity suites hold the two to the same crash set.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +65,10 @@ class ClaimSet {
 /// O(deg^2); used by tests and small-n runs.
 [[nodiscard]] bool detects_conflict(const ClaimSet& claims, graph::NodeId v);
 
-/// Crash set over all honest nodes, computed with the byz-pair shortcut
-/// (provably equal to running detects_conflict everywhere — see the
-/// equivalence test). Counts setup traffic into `instr` if given.
+/// Crash set over all honest nodes, computed with the Asym rule above
+/// (equal to running detects_conflict at every honest node — see the
+/// reference grid in the tests). Counts setup traffic and crashes into
+/// `instr` if given.
 [[nodiscard]] std::vector<bool> compute_crash_set(
     const ClaimSet& claims, const std::vector<bool>& byz_mask,
     sim::Instrumentation* instr = nullptr);

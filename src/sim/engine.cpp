@@ -60,23 +60,25 @@ proto::RunResult Engine::run() {
   // --- Setup (Algorithm 2 lines 1-2): claims, conflicts, crashes. ---
   // Mid-run joiners skip setup: they were not present for the adjacency
   // exchange, so the claims and the crash rule span the snapshot only.
-  proto::ClaimSet claims(overlay_);
-  strategy_.setup_lies(world_, claims);
-  if (cfg_.crash_rule) {
-    // Reference path: run the full pairwise conflict detection per node
-    // (the fast path uses the byz-pair shortcut; agreement is a test).
-    for (NodeId u = 0; u < n; ++u) {
-      const auto len = claims.claimed(u).size();
-      for (std::uint32_t e = 0; e < overlay_.g().degree(u); ++e) {
-        result_.instr.count_setup_list(len);
+  {
+    obs::Span setup_span("engine.setup");
+    proto::ClaimSet claims(overlay_);
+    strategy_.setup_lies(world_, claims);
+    if (cfg_.crash_rule) {
+      // Reference path: every honest node runs the full pairwise conflict
+      // detection on the lists it received (the fast path's Asym rule
+      // must agree; engine↔fastpath parity checks it).
+      for (NodeId u = 0; u < n; ++u) {
+        result_.instr.count_setup_list(claims.claimed(u).size(),
+                                       overlay_.g().degree(u));
       }
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (byz_[v]) continue;
-      if (proto::detects_conflict(claims, v)) {
-        nodes_[v].crashed = true;
-        result_.status[v] = proto::NodeStatus::kCrashed;
-        ++result_.instr.crashes;
+      for (NodeId v = 0; v < n; ++v) {
+        if (byz_[v]) continue;
+        if (proto::detects_conflict(claims, v)) {
+          nodes_[v].crashed = true;
+          result_.status[v] = proto::NodeStatus::kCrashed;
+          ++result_.instr.crashes;
+        }
       }
     }
   }

@@ -47,9 +47,11 @@ struct Instrumentation {
     token_messages += count;
     token_bytes += count * kTokenBytes;
   }
-  void count_setup_list(std::uint64_t list_len) noexcept {
-    setup_messages += 1;
-    setup_bytes += 8 + list_len * kIdBytes;
+  /// `copies` messages, each carrying one claimed list of `list_len` ids.
+  void count_setup_list(std::uint64_t list_len,
+                        std::uint64_t copies = 1) noexcept {
+    setup_messages += copies;
+    setup_bytes += copies * (8 + list_len * kIdBytes);
   }
   void count_verification(std::uint64_t round_trips) noexcept {
     verify_messages += 2 * round_trips;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "adversary/strategies.hpp"
@@ -17,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/fastpath.hpp"
+#include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "util/rng.hpp"
 
@@ -58,6 +60,9 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   EXPECT_TRUE(names.contains("count.subphase"));
   EXPECT_TRUE(names.contains("flood.subphase"));
   EXPECT_TRUE(names.contains("flood.round"));
+  EXPECT_TRUE(names.contains("count.setup"));
+  EXPECT_TRUE(names.contains("count.crash_rule"));
+  EXPECT_TRUE(names.contains("count.verifier"));
 
   // The metrics registry saw the same run.
   const auto snap = obs::metrics_snapshot();
@@ -68,6 +73,55 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   EXPECT_TRUE(rounds_counted);
   obs::reset_trace();
   obs::reset_metrics();
+}
+
+/// The single span named `name` in the snapshot.
+const obs::TraceEvent& only_span(const obs::TraceSnapshot& snap,
+                                 const std::string& name) {
+  const obs::TraceEvent* found = nullptr;
+  for (const auto& e : snap.events) {
+    if (e.name != name) continue;
+    EXPECT_EQ(found, nullptr) << "duplicate span " << name;
+    found = &e;
+  }
+  if (found == nullptr) throw std::runtime_error("missing span " + name);
+  return *found;
+}
+
+bool encloses(const obs::TraceEvent& outer, const obs::TraceEvent& inner) {
+  return outer.tid == inner.tid && outer.ts_us <= inner.ts_us &&
+         inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us;
+}
+
+TEST(TraceExportIntegration, SetupSpansNestInsideTheRun) {
+  // The crash rule and the verifier build are attributed: count.setup
+  // holds count.crash_rule, and both it and count.verifier sit inside
+  // count.run; the engine's setup sits inside engine.run.
+  obs::reset_trace();
+  (void)traced_run(true);
+  auto snap = obs::trace_snapshot();
+  const auto& run = only_span(snap, "count.run");
+  const auto& setup = only_span(snap, "count.setup");
+  EXPECT_TRUE(encloses(run, setup));
+  EXPECT_TRUE(encloses(setup, only_span(snap, "count.crash_rule")));
+  EXPECT_TRUE(encloses(run, only_span(snap, "count.verifier")));
+
+  obs::reset_trace();
+  graph::OverlayParams params;
+  params.n = 128;
+  params.d = 6;
+  params.seed = 3;
+  const auto overlay = graph::Overlay::build(params);
+  const std::vector<bool> byz(params.n, false);
+  const auto strategy = adv::make_strategy(adv::StrategyKind::kHonest);
+  obs::set_enabled(true);
+  sim::Engine engine(overlay, byz, *strategy, proto::ProtocolConfig{}, 5);
+  (void)engine.run();
+  obs::set_enabled(false);
+  snap = obs::trace_snapshot();
+  EXPECT_TRUE(encloses(only_span(snap, "engine.run"),
+                       only_span(snap, "engine.setup")));
+  obs::reset_trace();
 }
 
 TEST(TraceExportIntegration, ScheduledTrialsEmitTrialSpans) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "graph/tree_like.hpp"
+#include "reference_crash_set.hpp"
+#include "sim/runner.hpp"
+#include "sim/world.hpp"
 #include "util/rng.hpp"
 
 namespace byz::proto {
@@ -118,26 +123,208 @@ TEST(Conflict, FabricatedIdOutsideBallNotDetectable) {
   }
 }
 
+/// Honest nodes in N_G(a) ∩ N_G(b).
+std::vector<bool> common_honest(const Overlay& o, const std::vector<bool>& byz,
+                                NodeId a, NodeId b) {
+  std::vector<bool> out(o.num_nodes(), false);
+  for (const NodeId v : o.g().neighbors(a)) {
+    out[v] = !byz[v] && o.g().has_edge(v, b);
+  }
+  return out;
+}
+
+/// Every node at G-distance exactly 2 from u, ascending.
+std::vector<NodeId> distance_two(const Overlay& o, NodeId u) {
+  std::vector<NodeId> out;
+  for (const NodeId x : o.g().neighbors(u)) {
+    for (const NodeId w : o.g().neighbors(x)) {
+      if (w != u && !o.g().has_edge(u, w)) out.push_back(w);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<NodeId> true_list(const Overlay& o, NodeId u) {
+  const auto nbrs = o.g().neighbors(u);
+  return {nbrs.begin(), nbrs.end()};
+}
+
+/// Runs the rule and the reference; checks they agree and returns the set.
+std::vector<bool> checked_crash_set(const ClaimSet& claims,
+                                    const std::vector<bool>& byz) {
+  sim::Instrumentation fast;
+  sim::Instrumentation ref;
+  const auto crash = compute_crash_set(claims, byz, &fast);
+  EXPECT_EQ(crash, reference_crash_set(claims, byz, &ref));
+  EXPECT_EQ(fast, ref);
+  EXPECT_EQ(fast.crashes,
+            static_cast<std::uint64_t>(
+                std::count(crash.begin(), crash.end(), true)));
+  return crash;
+}
+
 TEST(CrashSet, MatchesReferenceConflictDetection) {
-  // The byz-pair shortcut must agree exactly with running the full pairwise
-  // rule at every node.
-  const Overlay o = sample(256, 6, 67);
-  util::Xoshiro256 rng(5);
-  const auto byz = graph::random_byzantine_mask(o.num_nodes(), 12, rng);
+  // The Asym rule must reproduce the suspect-pair reference loop exactly
+  // (crash set and every Instrumentation counter) under every strategy's
+  // lies. The grid runs at d=6 because the reference costs ~10 s per
+  // instance at n=4096, d=8 (deg_G ≈ 430); n=256 also runs at d=8. At
+  // n=256, d=6 every honest node is also checked with detects_conflict.
+  struct Shape {
+    NodeId n;
+    std::uint32_t d;
+  };
+  std::uint64_t cases = 0;
+  for (const Shape shape : {Shape{256, 6}, Shape{1024, 6}, Shape{4096, 6},
+                            Shape{256, 8}}) {
+    const NodeId n = shape.n;
+    for (const double delta : {0.3, 0.5, 0.7}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        const Overlay o = sample(n, shape.d, 1000 + seed);
+        util::Xoshiro256 rng(seed);
+        const auto byz = graph::random_byzantine_mask(
+            n, sim::derive_byz_count(n, delta), rng);
+        const auto world = sim::World::make(o, byz, seed);
+        for (const auto kind : adv::all_strategies()) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " d=" << shape.d << " delta=" << delta
+                       << " seed=" << seed
+                       << " strategy=" << adv::to_string(kind));
+          ClaimSet claims(o);
+          adv::make_strategy(kind)->setup_lies(world, claims);
+          const auto crash = checked_crash_set(claims, byz);
+          if (n == 256 && shape.d == 6) {
+            for (NodeId v = 0; v < n; ++v) {
+              if (!byz[v]) {
+                EXPECT_EQ(crash[v], detects_conflict(claims, v)) << "v=" << v;
+              }
+            }
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 144u);
+}
+
+TEST(CrashSet, TruthfulOverrideCrashesNobody) {
+  const Overlay o = sample(512, 8, 91);
+  std::vector<bool> byz(o.num_nodes(), false);
+  byz[4] = true;
   ClaimSet claims(o);
-  for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (!byz[v]) continue;
-    // Arbitrary lie: drop the last claimed neighbor.
-    const auto nbrs = o.g().neighbors(v);
-    std::vector<NodeId> lie(nbrs.begin(), nbrs.end());
-    if (!lie.empty()) lie.pop_back();
-    claims.set_claim(v, lie);
+  claims.set_claim(4, true_list(o, 4));
+  ASSERT_FALSE(claims.truthful(4));
+  const auto crash = checked_crash_set(claims, byz);
+  EXPECT_EQ(std::count(crash.begin(), crash.end(), true), 0);
+}
+
+TEST(CrashSet, ClaimingTruthfulNonNeighborsCrashesCommonNeighbors) {
+  // u keeps some of its edges and claims truthful nodes at distance two.
+  // Asym(u) is the claimed ring nodes plus the denied neighbors, so an
+  // honest v ∈ N_G(u) crashes iff u denies it or N_G(v) meets that set.
+  // The three lies drive each step-3 path: Asym(u) shorter than u's
+  // standing neighbors (two ring nodes with different witnesses), longer
+  // (the whole ring), and a single standing neighbor.
+  const Overlay o = sample(512, 6, 93);
+  const auto& g = o.g();
+  const std::vector<bool> byz(o.num_nodes(), false);
+  const NodeId u = 9;
+  const auto nbrs = true_list(o, u);
+  const auto ring = distance_two(o, u);
+  ASSERT_GT(ring.size(), nbrs.size());
+  const auto witnessed_by = [&](NodeId w) {
+    return common_honest(o, byz, u, w);
+  };
+  const auto first_differing =
+      std::find_if(ring.begin() + 1, ring.end(), [&](NodeId w) {
+        return witnessed_by(w) != witnessed_by(ring[0]);
+      });
+  ASSERT_NE(first_differing, ring.end());
+  const NodeId lone = nbrs[0];
+  const auto lone_reach =
+      std::find_if(ring.begin(), ring.end(),
+                   [&](NodeId w) { return g.has_edge(lone, w); });
+  ASSERT_NE(lone_reach, ring.end());
+
+  struct Lie {
+    std::vector<NodeId> kept;
+    std::vector<NodeId> ring_claims;
+  };
+  const std::vector<Lie> lies = {{nbrs, {ring[0], *first_differing}},
+                                 {nbrs, ring},
+                                 {{lone}, {*lone_reach}}};
+  for (const Lie& lie : lies) {
+    ClaimSet claims(o);
+    auto list = lie.kept;
+    list.insert(list.end(), lie.ring_claims.begin(), lie.ring_claims.end());
+    claims.set_claim(u, list);
+    std::vector<NodeId> asym = lie.ring_claims;
+    for (const NodeId v : nbrs) {
+      if (!std::count(lie.kept.begin(), lie.kept.end(), v)) asym.push_back(v);
+    }
+    std::vector<bool> expected(o.num_nodes(), false);
+    for (const NodeId v : nbrs) {
+      expected[v] = !std::count(lie.kept.begin(), lie.kept.end(), v) ||
+                    std::any_of(asym.begin(), asym.end(),
+                                [&](NodeId w) { return g.has_edge(v, w); });
+    }
+    ASSERT_GT(std::count(expected.begin(), expected.end(), true), 0);
+    EXPECT_EQ(checked_crash_set(claims, byz), expected)
+        << "kept=" << lie.kept.size() << " claimed=" << lie.ring_claims.size();
   }
-  const auto crash = compute_crash_set(claims, byz, nullptr);
-  for (NodeId v = 0; v < o.num_nodes(); ++v) {
-    if (byz[v]) continue;
-    EXPECT_EQ(crash[v], detects_conflict(claims, v)) << "v=" << v;
+}
+
+TEST(CrashSet, TwoLiarsContradictEachOther) {
+  // a denies its G-edge to b while b (also overridden, so neither is
+  // truthful) claims it: only b's side claims the other. Every honest
+  // common neighbor sees the contradiction, whichever id is smaller.
+  const Overlay o = sample(512, 8, 95);
+  const NodeId x = 20;
+  const NodeId y = o.g().neighbors(x)[0];
+  for (const auto& [a, b] : {std::pair{x, y}, std::pair{y, x}}) {
+    std::vector<bool> byz(o.num_nodes(), false);
+    byz[a] = true;
+    byz[b] = true;
+    ClaimSet claims(o);
+    auto lie = true_list(o, a);
+    lie.erase(std::find(lie.begin(), lie.end(), b));
+    claims.set_claim(a, lie);
+    claims.set_claim(b, true_list(o, b));
+    const auto expected = common_honest(o, byz, a, b);
+    ASSERT_GT(std::count(expected.begin(), expected.end(), true), 0);
+    EXPECT_EQ(checked_crash_set(claims, byz), expected) << "a=" << a;
   }
+}
+
+TEST(CrashSet, ClaimedIdsBeyondNAreIgnored) {
+  const Overlay o = sample(512, 8, 97);
+  const NodeId n = o.num_nodes();
+  std::vector<bool> byz(n, false);
+  byz[30] = true;
+  ClaimSet claims(o);
+  auto lie = true_list(o, 30);
+  lie.insert(lie.end(), {n, n + 5, graph::kInvalidNode - 1});
+  claims.set_claim(30, lie);
+  const auto crash = checked_crash_set(claims, byz);
+  EXPECT_EQ(std::count(crash.begin(), crash.end(), true), 0);
+}
+
+TEST(CrashSet, OverrideOutsideByzMaskIsASuspect) {
+  // A lying node the mask calls honest still crashes the neighbor it
+  // denies and every honest node that also sees that neighbor.
+  const Overlay o = sample(512, 8, 99);
+  const std::vector<bool> byz(o.num_nodes(), false);
+  const NodeId u = 40;
+  const NodeId h = o.g().neighbors(u)[0];
+  ClaimSet claims(o);
+  auto lie = true_list(o, u);
+  lie.erase(lie.begin());
+  claims.set_claim(u, lie);
+  auto expected = common_honest(o, byz, u, h);
+  expected[h] = true;
+  EXPECT_EQ(checked_crash_set(claims, byz), expected);
 }
 
 TEST(CrashSet, EmptyLieCrashesAllHonestNeighbors) {

@@ -1,10 +1,11 @@
 """Unit tests for tools/trace_summary.py.
 
-Covers the two contracts CI leans on: valid trace documents roll up into
-correct per-span and per-phase tables, and anything malformed — wrong
-document shape, events missing required keys, unknown event phases — or
-lossy (nonzero dropped-span count) fails LOUDLY with a nonzero exit so
-the gate cannot silently pass on an incomplete summary.
+Covers the contracts CI leans on: valid trace documents roll up into
+correct per-span (with self time) and per-phase tables; --max-run-self
+fails a run span whose unattributed share is too large; and anything
+malformed — wrong document shape, events missing required keys, unknown
+event phases — or lossy (nonzero dropped-span count) fails LOUDLY with a
+nonzero exit so the gate cannot silently pass on an incomplete summary.
 
 Stdlib only; run with `python3 -m unittest discover tools/tests`.
 """
@@ -125,7 +126,8 @@ class RollupTest(unittest.TestCase):
                       if e["ph"] == "X"]
 
     def test_per_name_table_aggregates_and_sorts_by_total(self):
-        rows = trace_summary.per_name_table(self.spans)
+        rows = trace_summary.per_name_table(
+            self.spans, trace_summary.self_times(self.spans))
         by_name = {r["span"]: r for r in rows}
         self.assertEqual(by_name["count.phase"]["count"], 2)
         self.assertEqual(by_name["count.phase"]["total_us"], 600.0)
@@ -134,6 +136,9 @@ class RollupTest(unittest.TestCase):
         self.assertEqual(by_name["flood.round"]["total_us"], 180.0)
         totals = [r["total_us"] for r in rows]
         self.assertEqual(totals, sorted(totals, reverse=True))
+        # Phase 1 encloses 190 us of children, phase 2 encloses 40 us.
+        self.assertEqual(by_name["count.phase"]["self_us"], 370.0)
+        self.assertEqual(by_name["flood.round"]["self_us"], 180.0)
 
     def test_per_phase_attribution_by_containment(self):
         rows = trace_summary.per_phase_table(self.spans)
@@ -161,6 +166,51 @@ class RollupTest(unittest.TestCase):
         by_phase = {r["phase"]: r for r in rows}
         self.assertEqual(by_phase[2]["rounds"], 1)
         self.assertEqual(by_phase[1]["rounds"], 0)
+
+
+def run_doc(run_name="count.run"):
+    """A 1000 us run: setup [0, 300) holding a 190 us crash rule, then a
+    phase [400, 700) holding one 100 us round. The run's own self time is
+    1000 - 300 - 300 = 400 us. A span on another thread overlaps it."""
+    return {
+        "traceEvents": [
+            span(run_name, 0, 1000),
+            span("count.setup", 0, 300),
+            span("count.crash_rule", 10, 190),
+            span("count.phase", 400, 300, args={"phase": 1}),
+            span("flood.round", 450, 100, args={"tokens": 1}),
+            span("flood.round", 100, 500, tid=2),
+        ],
+        "otherData": {"dropped": 0},
+    }
+
+
+class SelfTimeTest(unittest.TestCase):
+    def setUp(self):
+        self.spans = run_doc()["traceEvents"]
+
+    def test_self_time_subtracts_direct_children_only(self):
+        selfs = trace_summary.self_times(self.spans)
+        self.assertEqual(selfs, [400.0, 110.0, 190.0, 200.0, 100.0, 500.0])
+
+    def test_sibling_after_parent_is_not_a_child(self):
+        spans = [span("count.setup", 0, 100), span("count.phase", 100, 50),
+                 span("flood.round", 100, 0)]
+        self.assertEqual(trace_summary.self_times(spans), [100.0, 50.0, 0.0])
+
+    def test_run_self_violations(self):
+        selfs = trace_summary.self_times(self.spans)
+        self.assertEqual(
+            trace_summary.run_self_violations(self.spans, selfs, 0.5), [])
+        messages = trace_summary.run_self_violations(self.spans, selfs, 0.3)
+        self.assertEqual(len(messages), 1)
+        self.assertIn("count.run", messages[0])
+        self.assertIn("0.400", messages[0])
+
+    def test_no_run_span_is_not_a_pass(self):
+        spans = [span("count.phase", 0, 10)]
+        self.assertIsNone(trace_summary.run_self_violations(
+            spans, trace_summary.self_times(spans), 0.5))
 
 
 class MainExitCodeTest(unittest.TestCase):
@@ -200,6 +250,24 @@ class MainExitCodeTest(unittest.TestCase):
         code, _, err = self.run_main(doc)
         self.assertEqual(code, 1)
         self.assertIn("3 spans were dropped", err)
+
+    def test_run_self_share_under_limit_exits_zero(self):
+        code, out, err = self.run_main(run_doc("engine.run"),
+                                       "--max-run-self", "0.5")
+        self.assertEqual(code, 0)
+        self.assertIn("self_us", out)
+        self.assertEqual(err, "")
+
+    def test_run_self_share_over_limit_exits_nonzero(self):
+        code, _, err = self.run_main(run_doc(), "--max-run-self", "0.35")
+        self.assertEqual(code, 1)
+        self.assertIn("count.run", err)
+        self.assertIn("limit 0.35", err)
+
+    def test_max_run_self_without_run_span_exits_nonzero(self):
+        code, _, err = self.run_main(valid_doc(), "--max-run-self", "0.5")
+        self.assertEqual(code, 1)
+        self.assertIn("no count.run / engine.run span", err)
 
     def test_malformed_input_exits_nonzero(self):
         code, _, err = self.run_main({"events": []})

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Validate and summarize a byzcount Chrome trace-event export.
 
-Usage: trace_summary.py TRACE.json [--json]
+Usage: trace_summary.py TRACE.json [--json] [--max-run-self FRAC]
 
 Validates the document shape produced by `byzbench --trace-out` /
 `size_service --trace-out` (src/obs/trace.hpp), then prints two tables:
 
-  * per-span aggregate — count, total and mean wall time per span name;
+  * per-span aggregate — count, total, mean and self wall time per span
+    name. A span's self time is its duration minus the time its direct
+    children (same-thread spans nested inside it) cover: time no finer
+    span accounts for;
   * per-phase cost — rounds, subphases, and token counts rolled up to the
     protocol phase. Flood kernel spans do not carry a phase themselves
     (the cold path has no populated RoundClock), so attribution is by
@@ -17,6 +20,11 @@ Exits nonzero on malformed input (unreadable file, not a trace-event
 document, events missing required keys) AND on dropped spans — a nonzero
 otherData.dropped count means the per-thread buffers saturated and the
 per-phase attribution below is missing tails — so CI can gate on it.
+
+--max-run-self FRAC also exits nonzero when any count.run / engine.run
+span spends more than FRAC of its duration in self time (work inside a
+protocol run that no setup/phase span attributes), or when the trace has
+no such span to check.
 """
 
 import argparse
@@ -27,6 +35,7 @@ import sys
 PHASE_SPANS = ("count.phase", "engine.phase")
 ROUND_SPANS = ("flood.round", "engine.round")
 SUBPHASE_SPANS = ("count.subphase", "engine.subphase")
+RUN_SPANS = ("count.run", "engine.run")
 
 
 class TraceError(Exception):
@@ -64,19 +73,59 @@ def load_events(path):
     return spans, dropped
 
 
-def per_name_table(spans):
-    agg = collections.defaultdict(lambda: [0, 0.0])
-    for span in spans:
+def self_times(spans):
+    """Each span's duration minus the time covered by its direct children
+    (same-thread spans nested inside it); a list parallel to `spans`."""
+    selfs = [float(span["dur"]) for span in spans]
+    by_tid = collections.defaultdict(list)
+    for i, span in enumerate(spans):
+        by_tid[span["tid"]].append(i)
+    for order in by_tid.values():
+        # Parents before their children: by start, then longest first.
+        order.sort(key=lambda i: (spans[i]["ts"], -spans[i]["dur"]))
+        stack = []  # (index, end) of the currently open ancestors
+        for i in order:
+            end = spans[i]["ts"] + spans[i]["dur"]
+            while stack and stack[-1][1] < end:
+                stack.pop()
+            if stack:
+                selfs[stack[-1][0]] -= spans[i]["dur"]
+            stack.append((i, end))
+    return selfs
+
+
+def per_name_table(spans, selfs):
+    agg = collections.defaultdict(lambda: [0, 0.0, 0.0])
+    for span, self_us in zip(spans, selfs):
         entry = agg[span["name"]]
         entry[0] += 1
         entry[1] += span["dur"]
+        entry[2] += self_us
     rows = []
     for name in sorted(agg, key=lambda n: -agg[n][1]):
-        count, total = agg[name]
+        count, total, self_total = agg[name]
         rows.append({"span": name, "count": count,
                      "total_us": round(total, 1),
-                     "mean_us": round(total / count, 2)})
+                     "mean_us": round(total / count, 2),
+                     "self_us": round(self_total, 1)})
     return rows
+
+
+def run_self_violations(spans, selfs, max_frac):
+    """Messages for count.run / engine.run spans whose self share of their
+    duration exceeds max_frac; None when the trace has no such span."""
+    runs = [(span, self_us) for span, self_us in zip(spans, selfs)
+            if span["name"] in RUN_SPANS]
+    if not runs:
+        return None
+    out = []
+    for span, self_us in runs:
+        share = self_us / span["dur"] if span["dur"] > 0 else 0.0
+        if share > max_frac:
+            out.append(f"{span['name']} at ts={span['ts']} spent "
+                       f"{share:.3f} of its {span['dur']} us in self time "
+                       f"(limit {max_frac})")
+    return out
 
 
 def enclosing_phase(span, phases_by_tid):
@@ -146,6 +195,9 @@ def main(argv):
     parser.add_argument("trace", help="Chrome trace-event JSON file")
     parser.add_argument("--json", action="store_true",
                         help="emit the summary as JSON instead of tables")
+    parser.add_argument("--max-run-self", type=float, metavar="FRAC",
+                        help="fail when a count.run/engine.run span's self "
+                             "share of its duration exceeds FRAC")
     args = parser.parse_args(argv[1:])
 
     try:
@@ -154,7 +206,8 @@ def main(argv):
         print(f"ERROR: {err}", file=sys.stderr)
         return 1
 
-    names = per_name_table(spans)
+    selfs = self_times(spans)
+    names = per_name_table(spans, selfs)
     phases = per_phase_table(spans)
     if args.json:
         json.dump({"spans": names, "phases": phases, "dropped": dropped},
@@ -170,6 +223,16 @@ def main(argv):
               "(raise the exporter's buffer cap or trace a smaller run)",
               file=sys.stderr)
         return 1
+    if args.max_run_self is not None:
+        violations = run_self_violations(spans, selfs, args.max_run_self)
+        if violations is None:
+            print(f"ERROR: {args.trace}: --max-run-self given but the trace "
+                  f"has no {' / '.join(RUN_SPANS)} span", file=sys.stderr)
+            return 1
+        for message in violations:
+            print(f"ERROR: {args.trace}: {message}", file=sys.stderr)
+        if violations:
+            return 1
     return 0
 
 
