@@ -36,7 +36,8 @@ void run_e14(RunContext& ctx) {
   table.columns({"kernel", "n", "median ms", "min ms", "items/s"});
 
   auto report = [&](const std::string& kernel, graph::NodeId n,
-                    std::vector<double> ms, double items_per_rep) {
+                    std::vector<double> ms, double items_per_rep,
+                    Json extra = Json::object()) {
     const double med = util::median(ms);
     const double best = *std::min_element(ms.begin(), ms.end());
     table.row()
@@ -45,24 +46,33 @@ void run_e14(RunContext& ctx) {
         .cell(med, 3)
         .cell(best, 3)
         .cell(med > 0 ? items_per_rep / (med / 1e3) : 0.0, 0);
-    Json j = Json::object();
+    Json j = std::move(extra);
     j["n"] = std::uint64_t{n};
     j["median_ms"] = med;
     j["min_ms"] = best;
     ctx.metric(kernel + "_n" + std::to_string(n), std::move(j));
   };
 
+  // Overlay rows also track memory per node (the finished overlay: H, its
+  // simple view, G's CSR and distances) and G slots per node.
   for (const auto n : analysis::pow2_sizes(12, std::min(max_exp, 16u))) {
     std::uint64_t seed = 1;
-    report("overlay_build", n, time_reps(reps, [&] {
-             graph::OverlayParams params;
-             params.n = n;
-             params.d = 8;
-             params.seed = seed++;
-             const auto overlay = graph::Overlay::build(params);
-             (void)overlay.g().num_edges();
-           }),
-           static_cast<double>(n));
+    std::uint64_t bytes = 0;
+    std::uint64_t g_slots = 0;
+    auto ms = time_reps(reps, [&] {
+      graph::OverlayParams params;
+      params.n = n;
+      params.d = 8;
+      params.seed = seed++;
+      const auto overlay = graph::Overlay::build(params);
+      bytes = overlay.memory_bytes();
+      g_slots = overlay.g().num_slots();
+    });
+    Json extra = Json::object();
+    extra["bytes_per_node"] = static_cast<double>(bytes) / n;
+    extra["g_slots_per_node"] = static_cast<double>(g_slots) / n;
+    report("overlay_build", n, std::move(ms), static_cast<double>(n),
+           std::move(extra));
   }
 
   for (const auto n : analysis::pow2_sizes(12, std::min(max_exp, 16u))) {
@@ -165,7 +175,9 @@ BYZBENCH_REGISTER(e14) {
                            "trial_throughput"}},
                pow2_axis(10, 16)};
   spec.base_trials = 5;
-  spec.metrics = {"<kernel>_n<size>.median_ms"};
+  spec.metrics = {"<kernel>_n<size>.median_ms",
+                  "overlay_build_n<size>.bytes_per_node",
+                  "overlay_build_n<size>.g_slots_per_node"};
   spec.run = run_e14;
   return spec;
 }

@@ -52,7 +52,9 @@
 // pre-advanced.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <string_view>
 
 #include "byzcount.hpp"
 
@@ -120,6 +122,49 @@ bool backend_name_ok(const std::string& flag, const std::string& name) {
   }
   std::cerr << "\n";
   return false;
+}
+
+/// Range-checks the numeric flags before any of them is cast: --n=-5 would
+/// otherwise wrap to ~4e9 nodes, --n=0 or an odd --d would reach a throw
+/// deep inside the overlay build, --trials=0 would print an all-zero
+/// table and --delta=2 would run silently with no Byzantine nodes.
+/// Prints the first violation and returns false.
+bool numeric_flags_ok(const byz::util::ArgParser& args) {
+  struct Range {
+    const char* flag;
+    std::int64_t lo;
+    std::int64_t hi;
+    const char* what;
+  };
+  // k = ceil(d/3) must stay below the 8-bit kNotInBall distance sentinel;
+  // thread counts are capped so a typo cannot ask for millions of threads.
+  constexpr std::int64_t kMaxId = 0xFFFFFFFF;
+  const Range ranges[] = {
+      {"n", 3, kMaxId, "a network size"},
+      {"d", 4, 762, "an even H-degree"},
+      {"trials", 1, kMaxId, "a trial count"},
+      {"epochs", 1, kMaxId, "an epoch count"},
+      {"jobs", 0, 1024, "a worker count (0 = hardware)"},
+      {"flood-threads", 0, 1024, "a thread count (0 = serial)"},
+  };
+  for (const auto& r : ranges) {
+    const std::int64_t value = args.integer(r.flag);
+    const bool odd_degree = std::string_view(r.flag) == "d" && value % 2 != 0;
+    if (value < r.lo || value > r.hi || odd_degree) {
+      std::cerr << "size_service: --" << r.flag << " must be " << r.what
+                << " in [" << r.lo << ", " << r.hi << "] (got " << value
+                << ")\n";
+      return false;
+    }
+  }
+  const double delta = args.real("delta");
+  if (!(delta >= 0.0 && delta <= 1.0)) {
+    std::cerr << "size_service: --delta must be a Byzantine exponent in "
+                 "[0, 1] (got "
+              << delta << "; B = n^(1 - delta))\n";
+    return false;
+  }
+  return true;
 }
 
 /// The --churn mode: --trials independent churn runs through the shared
@@ -473,6 +518,7 @@ int main(int argc, char** argv) {
   std::string trace_out;
   try {
     if (!args.parse(argc, argv)) return 0;
+    if (!numeric_flags_ok(args)) return 2;
     trace_out = args.str("trace-out");
     {
       const auto flood_threads =

@@ -1,6 +1,10 @@
 #include "graph/bfs.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace byz::graph {
 
@@ -57,6 +61,36 @@ void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
     }
     level_begin = level_end;
   }
+}
+
+void radix_sort_ball_keys(std::span<std::uint64_t> keys, NodeId max_node,
+                          std::vector<std::uint64_t>& tmp) {
+  constexpr unsigned kMaxDigitBits = 11;
+  const std::size_t size = keys.size();
+  const auto id_bits = static_cast<unsigned>(std::bit_width(max_node));
+  if (size < 2 || id_bits == 0) return;
+  const unsigned passes = (id_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit_bits = (id_bits + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+  const std::uint64_t mask = buckets - 1;
+  tmp.resize(size);
+  std::array<std::size_t, std::size_t{1} << kMaxDigitBits> count;
+  std::uint64_t* src = keys.data();
+  std::uint64_t* dst = tmp.data();
+  for (unsigned pass = 0; pass < passes; ++pass) {
+    const unsigned shift = 8 + pass * digit_bits;
+    std::fill_n(count.begin(), buckets, 0);
+    for (std::size_t i = 0; i < size; ++i) ++count[(src[i] >> shift) & mask];
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      sum += std::exchange(count[b], sum);
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      dst[count[(src[i] >> shift) & mask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != keys.data()) std::copy_n(src, size, keys.data());
 }
 
 std::vector<std::uint32_t> multi_source_distances(const Graph& g,

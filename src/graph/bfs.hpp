@@ -52,6 +52,23 @@ struct BallEntry {
 void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
               BfsScratch& scratch, std::vector<BallEntry>& out);
 
+/// A ball entry packed as `node << 8 | dist`, the key radix_sort_ball_keys
+/// orders.
+[[nodiscard]] constexpr std::uint64_t pack_ball_key(
+    NodeId node, std::uint8_t dist) noexcept {
+  return static_cast<std::uint64_t>(node) << 8 | dist;
+}
+
+/// Sorts packed ball keys ascending by node id without comparisons: an LSD
+/// radix sort over the node bits only, in ceil(bit_width(max_node) / 11)
+/// stable counting passes whose digits split those bits evenly (16-bit ids:
+/// two 8-bit passes). The dist byte rides along unsorted, so keys with
+/// equal ids keep their input order; a ball's ids are unique, so the result
+/// equals std::sort of the keys. Every id must be <= max_node. `tmp` is
+/// scratch, grown as needed.
+void radix_sort_ball_keys(std::span<std::uint64_t> keys, NodeId max_node,
+                          std::vector<std::uint64_t>& tmp);
+
 /// Multi-source BFS: distance from each node to the nearest source.
 [[nodiscard]] std::vector<std::uint32_t> multi_source_distances(
     const Graph& g, std::span<const NodeId> sources,

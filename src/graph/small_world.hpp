@@ -32,15 +32,20 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
 /// G = k-ball adjacency annotated with exact H-distances per slot.
 class Overlay {
  public:
-  /// Samples H(n,d) and materializes G. Cost: one bounded BFS per node
-  /// (OpenMP-parallel); memory O(n * (d-1)^k).
+  /// Samples H(n,d) (span `overlay.sample_h`) and materializes G.
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
   /// Materializes G over a caller-supplied H multigraph (must be an exactly
   /// d-regular multigraph on params.n nodes; parallel edges allowed). Used
   /// by dynamics::MutableOverlay to turn an epoch's cycle state into the
   /// immutable overlay the protocols run on; params.seed/generation are
-  /// recorded as provenance, not re-sampled.
+  /// recorded as provenance, not re-sampled. Span `overlay.materialize_g`.
+  ///
+  /// Cost: two OpenMP-parallel bounded BFS passes over H (ball sizes, then
+  /// the balls); each ball is radix-sorted by id (no comparison sort) and
+  /// written straight into its row of G's final CSR and distance arrays.
+  /// G exists once: peak memory is the finished overlay, O(n * (d-1)^k),
+  /// plus a few ball-sized buffers per thread.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 

@@ -62,7 +62,7 @@ std::vector<double> smooth_estimates(const graph::Overlay& overlay,
       }
     }
     if (window.empty()) continue;
-    smoothed[v] = util::median(window);
+    smoothed[v] = util::median_in_place(window);
   }
   return smoothed;
 }

@@ -63,6 +63,19 @@ double percentile(std::span<const double> sample, double q) {
 
 double median(std::span<const double> sample) { return percentile(sample, 0.5); }
 
+double median_in_place(std::span<double> sample) {
+  if (sample.empty()) throw std::invalid_argument("median: empty sample");
+  const double pos = 0.5 * static_cast<double>(sample.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sample.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample.begin(), lo_it, sample.end());
+  const double at_hi =
+      hi == lo ? *lo_it : *std::min_element(lo_it + 1, sample.end());
+  return *lo_it * (1.0 - frac) + at_hi * frac;
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
   if (buckets == 0) throw std::invalid_argument("Histogram: zero buckets");

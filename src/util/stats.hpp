@@ -42,6 +42,12 @@ class OnlineStats {
 /// Median shorthand.
 [[nodiscard]] double median(std::span<const double> sample);
 
+/// The same value as median(sample), bit for bit (for samples without NaN),
+/// without the copy and full sort: nth_element finds the lower middle order
+/// statistic, the minimum of the part above it the upper one, and
+/// percentile's interpolation combines them. Reorders `sample`.
+[[nodiscard]] double median_in_place(std::span<double> sample);
+
 /// Fixed-width histogram over [lo, hi); values outside are clamped into the
 /// first/last bucket. Used for color and estimate distributions.
 class Histogram {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "graph/hamiltonian.hpp"
 #include "util/rng.hpp"
 
@@ -149,6 +154,92 @@ TEST(Bfs, AgreesWithBallOnRandomRegular) {
   }
   EXPECT_EQ(ball.size(), within3);
   for (const auto& e : ball) EXPECT_EQ(dist[e.node], e.dist);
+}
+
+/// `count` distinct ids <= max_node: every 2^j - 1, 2^j, 2^j + 1 that fits
+/// (the radix digit boundaries for any digit width), the extremes, then
+/// random ids; shuffled, each with a random dist byte.
+std::vector<std::uint64_t> synthetic_keys(NodeId max_node, std::size_t count,
+                                          util::Xoshiro256& rng) {
+  std::set<NodeId> ids;
+  auto add = [&](std::uint64_t id) {
+    if (id <= max_node && ids.size() < count) {
+      ids.insert(static_cast<NodeId>(id));
+    }
+  };
+  add(0);
+  add(max_node);
+  for (unsigned j = 0; j <= 32; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    add(p - 1);
+    add(p);
+    add(p + 1);
+  }
+  while (ids.size() < count) {
+    add(rng.below(static_cast<std::uint64_t>(max_node) + 1));
+  }
+  std::vector<std::uint64_t> keys;
+  for (const NodeId id : ids) {
+    keys.push_back(pack_ball_key(id, static_cast<std::uint8_t>(rng())));
+  }
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  }
+  return keys;
+}
+
+TEST(RadixSortBallKeys, MatchesStdSortOnSyntheticIds) {
+  util::Xoshiro256 rng(2024);
+  std::vector<std::uint64_t> tmp;  // reused across calls, like the build
+  for (const NodeId max_node :
+       {0u, 1u, 2u, 63u, 64u, 255u, 256u, 2047u, 2048u, 2049u, 65535u,
+        65536u, (1u << 22) - 1, 1u << 22, (1u << 22) + 1, 0xFFFFFFFEu,
+        0xFFFFFFFFu}) {
+    for (const std::size_t size : {0u, 1u, 2u, 3u, 17u, 450u, 5000u}) {
+      const std::size_t count = static_cast<std::size_t>(
+          std::min<std::uint64_t>(size, std::uint64_t{max_node} + 1));
+      auto keys = synthetic_keys(max_node, count, rng);
+      auto want = keys;
+      std::sort(want.begin(), want.end());
+      radix_sort_ball_keys(keys, max_node, tmp);
+      EXPECT_EQ(keys, want) << "max_node=" << max_node << " size=" << count;
+    }
+  }
+}
+
+TEST(RadixSortBallKeys, EqualIdsKeepInputOrder) {
+  // The dist byte is carried, not sorted on: duplicate ids stay stable.
+  util::Xoshiro256 rng(77);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 3000; ++i) {
+    keys.push_back(pack_ball_key(static_cast<NodeId>(rng.below(40000)),
+                                 static_cast<std::uint8_t>(rng())));
+  }
+  auto want = keys;
+  std::stable_sort(
+      want.begin(), want.end(),
+      [](std::uint64_t a, std::uint64_t b) { return a >> 8 < b >> 8; });
+  std::vector<std::uint64_t> tmp;
+  radix_sort_ball_keys(keys, 39999, tmp);
+  EXPECT_EQ(keys, want);
+}
+
+TEST(RadixSortBallKeys, SortsRealBalls) {
+  util::Xoshiro256 rng(5);
+  const Graph h = simplify(build_hamiltonian_graph(3000, 8, rng));
+  BfsScratch scratch;
+  std::vector<BallEntry> ball;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> tmp;
+  for (NodeId v = 0; v < 3000; v += 97) {
+    bfs_ball(h, v, 3, scratch, ball);
+    keys.clear();
+    for (const auto& e : ball) keys.push_back(pack_ball_key(e.node, e.dist));
+    auto want = keys;
+    std::sort(want.begin(), want.end());
+    radix_sort_ball_keys(keys, 2999, tmp);
+    EXPECT_EQ(keys, want) << "v=" << v;
+  }
 }
 
 }  // namespace

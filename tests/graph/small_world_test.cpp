@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "graph/bfs.hpp"
+#include "graph/hamiltonian.hpp"
+#include "incremental/engine.hpp"
+#include "reference_overlay.hpp"
+#include "util/rng.hpp"
 
 namespace byz::graph {
 namespace {
@@ -137,6 +145,79 @@ TEST(SmallWorld, RejectsZeroK) {
   p.d = 4;
   p.k = 0;  // resolves to paper k = 2, fine
   EXPECT_NO_THROW((void)Overlay::build(p));
+}
+
+TEST(SmallWorld, ReferenceFromAdjacencySortsLists) {
+  std::vector<std::vector<NodeId>> adj{{2, 1}, {0}, {0}};
+  const Graph g = reference_from_adjacency(std::move(adj));
+  const auto nbrs = g.neighbors(0);
+  ASSERT_EQ(nbrs.size(), 2u);
+  EXPECT_EQ(nbrs[0], 1u);
+  EXPECT_EQ(nbrs[1], 2u);
+}
+
+/// A d-regular H on n nodes: the shipped sampler for n >= 3; below that,
+/// d/2 "cycles" over one or two nodes (self-loops at n = 1, parallel
+/// edges at n = 2), which build_from_h accepts as a multigraph.
+Graph sample_h(NodeId n, std::uint32_t d, std::uint64_t seed) {
+  if (n >= 3) {
+    util::Xoshiro256 rng(seed);
+    return build_hamiltonian_graph(n, d, rng);
+  }
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (std::uint32_t c = 0; c < d / 2; ++c) {
+    for (NodeId v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
+  }
+  return Graph::from_edges(n, edges, false);
+}
+
+TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
+  // The in-place, radix-sorted build must equal the old three-copy,
+  // comparison-sorted build bitwise: offsets, ids, order and distances.
+  // The sizes straddle the radix digit boundaries (8 and 11 id bits,
+  // bitset words at 64) and the OpenMP team size must not matter.
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  const std::vector<int> teams{1, 4};
+#else
+  const std::vector<int> teams{1};
+#endif
+  std::uint32_t mismatches = 0;
+  std::uint32_t checked = 0;
+  for (const NodeId n : {1u, 2u, 3u, 5u, 63u, 64u, 65u, 255u, 256u, 257u,
+                         2047u, 2048u, 2049u, 8192u}) {
+    for (const std::uint32_t d : {4u, 6u, 8u}) {
+      std::vector<std::uint32_t> ks{1, 2};
+      if (paper_k(d) > 2) ks.push_back(paper_k(d));
+      for (const std::uint32_t k : ks) {
+        for (const std::uint64_t seed : {7u, 99u}) {
+          OverlayParams p;
+          p.n = n;
+          p.d = d;
+          p.k = k;
+          p.seed = seed;
+          const Overlay ref = reference_build_from_h(p, sample_h(n, d, seed));
+          for (const int team : teams) {
+#ifdef _OPENMP
+            omp_set_num_threads(team);
+#endif
+            const Overlay got = Overlay::build_from_h(p, sample_h(n, d, seed));
+            ++checked;
+            if (!incremental::overlays_identical(ref, got)) {
+              ++mismatches;
+              ADD_FAILURE() << "n=" << n << " d=" << d << " k=" << k
+                            << " seed=" << seed << " team=" << team;
+            }
+          }
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(checked, 14u * 7u * 2u * teams.size());
 }
 
 }  // namespace

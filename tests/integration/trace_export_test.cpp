@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,8 @@ TEST(TraceExportIntegration, ProtocolRunEmitsPhaseSubphaseAndRoundSpans) {
   EXPECT_TRUE(names.contains("count.setup"));
   EXPECT_TRUE(names.contains("count.crash_rule"));
   EXPECT_TRUE(names.contains("count.verifier"));
+  EXPECT_TRUE(names.contains("overlay.sample_h"));
+  EXPECT_TRUE(names.contains("overlay.materialize_g"));
 
   // The metrics registry saw the same run.
   const auto snap = obs::metrics_snapshot();
@@ -121,6 +124,35 @@ TEST(TraceExportIntegration, SetupSpansNestInsideTheRun) {
   snap = obs::trace_snapshot();
   EXPECT_TRUE(encloses(only_span(snap, "engine.run"),
                        only_span(snap, "engine.setup")));
+  obs::reset_trace();
+}
+
+TEST(TraceExportIntegration, OverlayBuildSpansCarrySizes) {
+  // Overlay::build is attributed in two layers on the calling thread:
+  // sampling H, then materializing G, each tagged with n and its slots.
+  obs::reset_trace();
+  graph::OverlayParams params;
+  params.n = 256;
+  params.d = 6;
+  params.seed = 7;
+  obs::set_enabled(true);
+  std::optional<graph::Overlay> overlay;
+  {
+    obs::Span outer("test.build");
+    overlay.emplace(graph::Overlay::build(params));
+  }
+  obs::set_enabled(false);
+  const auto snap = obs::trace_snapshot();
+  const auto& outer = only_span(snap, "test.build");
+  const auto& sample = only_span(snap, "overlay.sample_h");
+  const auto& materialize = only_span(snap, "overlay.materialize_g");
+  EXPECT_TRUE(encloses(outer, sample));
+  EXPECT_TRUE(encloses(outer, materialize));
+  EXPECT_LE(sample.ts_us + sample.dur_us, materialize.ts_us);
+  EXPECT_EQ(sample.args, "\"n\": 256, \"slots\": " +
+                             std::to_string(overlay->h().num_slots()));
+  EXPECT_EQ(materialize.args, "\"n\": 256, \"slots\": " +
+                                  std::to_string(overlay->g().num_slots()));
   obs::reset_trace();
 }
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/categories.hpp"
 #include "protocols/color.hpp"
 #include "protocols/fastpath.hpp"
+#include "util/stats.hpp"
 
 namespace byz::proto {
 namespace {
@@ -104,6 +108,72 @@ TEST(Smoothing, DeflationEquallyHarmless) {
       smooth_estimates(o, byz, refined, EstimateLie::kDeflate);
   const auto acc = summarize_refined(smoothed, byz, n);
   EXPECT_GT(acc.min_ratio, 0.3);
+}
+
+/// smooth_estimates as it was before the in-place median: copy each
+/// window and take util::median of it.
+std::vector<double> reference_smooth(const Overlay& overlay,
+                                     const std::vector<bool>& byz,
+                                     const std::vector<double>& estimates,
+                                     EstimateLie lie,
+                                     std::vector<std::size_t>& sizes) {
+  std::vector<double> smoothed(overlay.num_nodes(), 0.0);
+  for (NodeId v = 0; v < overlay.num_nodes(); ++v) {
+    if (byz[v]) continue;
+    std::vector<double> window;
+    if (estimates[v] > 0.0) window.push_back(estimates[v]);
+    for (const NodeId w : overlay.g().neighbors(v)) {
+      if (byz[w]) {
+        if (lie == EstimateLie::kHonest && estimates[w] > 0.0) {
+          window.push_back(estimates[w]);
+        } else if (lie == EstimateLie::kInflate) {
+          window.push_back(1e6);
+        } else if (lie == EstimateLie::kDeflate) {
+          window.push_back(0.0);
+        }
+      } else if (estimates[w] > 0.0) {
+        window.push_back(estimates[w]);
+      }
+    }
+    sizes.push_back(window.size());
+    if (!window.empty()) smoothed[v] = util::median(window);
+  }
+  return smoothed;
+}
+
+TEST(Smoothing, BitwiseEqualsCopyAndSortMedian) {
+  const NodeId n = 2048;
+  const Overlay o = sample(n, 8, 37);
+  util::Xoshiro256 rng(43);
+  const auto byz = graph::random_byzantine_mask(n, 200, rng);
+  // Refined estimates (heavy ties) with a random tenth zeroed (silent
+  // nodes), and a continuous variant without ties.
+  auto refined = refine_run(run_basic_counting(o, 47), 8);
+  std::vector<double> continuous(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (rng.below(10) == 0) refined[v] = 0.0;
+    continuous[v] = rng.below(10) == 0
+                        ? 0.0
+                        : std::ldexp(static_cast<double>(rng() >> 11), -45);
+  }
+  std::vector<std::size_t> sizes;
+  for (const auto& estimates : {refined, continuous}) {
+    for (const auto lie : {EstimateLie::kHonest, EstimateLie::kInflate,
+                           EstimateLie::kDeflate}) {
+      const auto want = reference_smooth(o, byz, estimates, lie, sizes);
+      const auto got = smooth_estimates(o, byz, estimates, lie);
+      ASSERT_EQ(got.size(), want.size());
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[v]),
+                  std::bit_cast<std::uint64_t>(want[v]))
+            << "v=" << v << " lie=" << static_cast<int>(lie);
+      }
+    }
+  }
+  std::size_t odd = 0;
+  for (const auto size : sizes) odd += size % 2;
+  EXPECT_GT(odd, 0u);             // both window parities were exercised
+  EXPECT_LT(odd, sizes.size());
 }
 
 TEST(Smoothing, SizeMismatchThrows) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace byz::util {
 namespace {
@@ -78,6 +81,32 @@ TEST(Percentile, InterpolatesEvenSample) {
 
 TEST(Percentile, EmptyThrows) {
   EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
+}
+
+TEST(Percentile, MedianInPlaceIsBitwiseMedian) {
+  // Odd and even windows of smoothing size, with heavy ties (discrete
+  // estimates), continuous values, zeros and a far outlier.
+  Xoshiro256 rng(41);
+  for (std::size_t size = 1; size <= 460; size += 1 + size / 8) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<double> window(size);
+      for (auto& x : window) {
+        switch (rng.below(4)) {
+          case 0: x = static_cast<double>(rng.below(6)) * 1.75; break;
+          case 1: x = std::ldexp(static_cast<double>(rng() >> 11), -40); break;
+          case 2: x = 0.0; break;
+          default: x = 1e6; break;
+        }
+      }
+      const double want = median(window);
+      const double got = median_in_place(window);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "size=" << size << " got=" << got << " want=" << want;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW((void)median_in_place(empty), std::invalid_argument);
 }
 
 TEST(Histogram, BucketsAndClamping) {
