@@ -54,6 +54,7 @@ Cell run_trial(graph::NodeId n0, double rate, std::uint32_t epochs,
     }
     util::Timer t_full;
     const auto full = overlay.snapshot();
+    (void)full.overlay.g();  // G is built lazily; the incremental path hands it in
     cell.full_ms += t_full.milliseconds();
     util::Timer t_incr;
     const auto incr = engine.snapshot();

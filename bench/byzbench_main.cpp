@@ -1,4 +1,4 @@
-// byzbench — unified experiment orchestrator. Replaces the 16 standalone
+// byzbench — unified experiment orchestrator. Replaces the standalone
 // bench_eXX binaries: every experiment registers a ScenarioSpec (grid,
 // trials, metrics, run function) and this driver resolves --filter
 // against the registry, runs the selection on a shared scheduler +
@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   using namespace byz;
 
   util::ArgParser args("byzbench",
-                       "unified byzcount experiment orchestrator (E01-E16)");
+                       "unified byzcount experiment orchestrator (--list "
+                       "enumerates the scenarios)");
   args.add_flag("list", "enumerate registered scenarios and exit");
   args.add_option("filter", "comma-separated id/title substrings (empty = all)",
                   "");
@@ -59,14 +60,15 @@ int main(int argc, char** argv) {
     }
     opts.filter = args.str("filter");
     opts.scale = args.real("scale");
-    opts.jobs = static_cast<unsigned>(args.integer("jobs"));
+    // Thread counts are capped so a typo cannot ask for millions of threads.
+    opts.jobs = args.integer_in<unsigned>("jobs", 0, 1024);
     opts.json_out = args.str("json-out");
     opts.trace_out = args.str("trace-out");
     opts.metrics_out = args.str("metrics-out");
     opts.digest_out = args.str("digest-out");
     opts.audit = args.flag("audit") || !opts.digest_out.empty();
     const auto flood_threads =
-        static_cast<std::uint32_t>(args.integer("flood-threads"));
+        args.integer_in<std::uint32_t>("flood-threads", 0, 1024);
     if (flood_threads > 0) {
       proto::set_default_flood_exec(
           {proto::FloodMode::kParallel, flood_threads});

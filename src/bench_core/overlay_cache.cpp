@@ -101,8 +101,21 @@ std::shared_ptr<const graph::Overlay> OverlayCache::put(
   return overlay;
 }
 
+void OverlayCache::refresh_bytes_locked() {
+  // An overlay grows after insertion when a reader first materializes its
+  // G, so the charge taken at insertion goes stale: re-read every built
+  // entry (a handful per process) before the bound is judged.
+  for (auto& [key, entry] : entries_) {
+    if (entry.bytes == 0) continue;  // still building
+    const std::uint64_t now = entry.overlay.get()->memory_bytes();
+    resident_bytes_ += now - entry.bytes;
+    entry.bytes = now;
+  }
+}
+
 void OverlayCache::evict_locked(const Key& incoming) {
   if (max_bytes_ == 0) return;
+  refresh_bytes_locked();
   while (resident_bytes_ > max_bytes_ && lru_.size() > 1) {
     // Generation-aware policy: epoch snapshots of one evolving overlay
     // (same d/k/seed, generation != 0) supersede each other, while static
@@ -137,8 +150,9 @@ void OverlayCache::evict_locked(const Key& incoming) {
   }
 }
 
-OverlayCache::Stats OverlayCache::stats() const {
+OverlayCache::Stats OverlayCache::stats() {
   std::lock_guard<std::mutex> lock(mutex_);
+  refresh_bytes_locked();
   Stats s;
   s.hits = hits_;
   s.misses = misses_;

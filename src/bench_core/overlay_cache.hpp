@@ -30,7 +30,9 @@ class OverlayCache {
   };
 
   /// `max_bytes` bounds resident overlay memory (0 = unlimited); least
-  /// recently used entries are evicted past the bound.
+  /// recently used entries are evicted past the bound. Residency is each
+  /// overlay's memory_bytes() as of the check, so a G materialized after
+  /// insertion counts from the next insertion (or stats()) on.
   explicit OverlayCache(std::uint64_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
   /// Returns the overlay for `params`, building it on a miss. Thread-safe;
@@ -54,7 +56,7 @@ class OverlayCache {
                                                           std::uint32_t d,
                                                           std::uint64_t seed);
 
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] Stats stats();
   void clear();
 
  private:
@@ -72,6 +74,7 @@ class OverlayCache {
     std::uint64_t bytes = 0;  ///< 0 until the build completes
   };
 
+  void refresh_bytes_locked();
   void evict_locked(const Key& incoming);
 
   mutable std::mutex mutex_;

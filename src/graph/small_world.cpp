@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -24,8 +25,63 @@ Overlay Overlay::build(const OverlayParams& params) {
   return build_from_h(params, std::move(h));
 }
 
+namespace {
+
+/// G's rows over `h_simple`: every ball B_H(v, k) \ {v}, id-sorted, with
+/// per-slot H-distances, written in place into the final CSR arrays.
+void build_k_balls(const Graph& h_simple, std::uint32_t k, Graph& g,
+                   std::vector<std::uint8_t>& g_dist) {
+  const NodeId n = h_simple.num_nodes();
+  const bool parallel = n >= Overlay::kParallelBuildMinNodes;
+  (void)parallel;
+
+  // Pass 1: ball sizes (excluding the center) -> CSR offsets.
+  Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
+#pragma omp parallel if (parallel)
+  {
+    BfsScratch scratch;
+    std::vector<BallEntry> ball;
+#pragma omp for schedule(dynamic, 256)
+    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
+      bfs_ball(h_simple, static_cast<NodeId>(v), k, scratch, ball);
+      offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
+    }
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+
+  // Pass 2: each ball, radix-sorted by neighbor id (the Graph invariant
+  // that h_dist binary-searches), lands in its own row of the final arrays.
+  Graph::NeighborVec nodes(offsets.back());
+  std::vector<std::uint8_t> dists(offsets.back());
+#pragma omp parallel if (parallel)
+  {
+    BfsScratch scratch;
+    std::vector<BallEntry> ball;
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> tmp;
+#pragma omp for schedule(dynamic, 256)
+    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
+      const auto v = static_cast<NodeId>(sv);
+      bfs_ball(h_simple, v, k, scratch, ball);
+      keys.clear();
+      for (std::size_t i = 1; i < ball.size(); ++i) {
+        keys.push_back(pack_ball_key(ball[i].node, ball[i].dist));
+      }
+      radix_sort_ball_keys(keys, n - 1, tmp);
+      const std::uint64_t row = offsets[v];
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        nodes[row + i] = static_cast<NodeId>(keys[i] >> 8);
+        dists[row + i] = static_cast<std::uint8_t>(keys[i]);
+      }
+    }
+  }
+  g = Graph::from_csr(std::move(offsets), std::move(nodes));
+  g_dist = std::move(dists);
+}
+
+}  // namespace
+
 Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
-  obs::Span span("overlay.materialize_g");
   Overlay o;
   o.params_ = params;
   o.k_ = params.k == 0 ? paper_k(params.d) : params.k;
@@ -39,54 +95,26 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
 
   o.h_ = std::move(h);
   o.h_simple_ = simplify(o.h_);
-
-  const NodeId n = params.n;
-  const std::uint32_t k = o.k_;
-
-  // Pass 1: ball sizes (excluding the center) -> CSR offsets.
-  Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
-#pragma omp parallel
-  {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      bfs_ball(o.h_simple_, static_cast<NodeId>(v), k, scratch, ball);
-      offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
-    }
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  // Pass 2: each ball, radix-sorted by neighbor id (the Graph invariant
-  // that h_dist binary-searches), lands in its own row of the final arrays.
-  Graph::NeighborVec nodes(offsets.back());
-  std::vector<std::uint8_t> dists(offsets.back());
-#pragma omp parallel
-  {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> tmp;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
-      bfs_ball(o.h_simple_, v, k, scratch, ball);
-      keys.clear();
-      for (std::size_t i = 1; i < ball.size(); ++i) {
-        keys.push_back(pack_ball_key(ball[i].node, ball[i].dist));
-      }
-      radix_sort_ball_keys(keys, n - 1, tmp);
-      const std::uint64_t row = offsets[v];
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        nodes[row + i] = static_cast<NodeId>(keys[i] >> 8);
-        dists[row + i] = static_cast<std::uint8_t>(keys[i]);
-      }
-    }
-  }
-  span.arg("n", n).arg("slots", nodes.size());
-  o.g_ = Graph::from_csr(std::move(offsets), std::move(nodes));
-  o.g_dist_ = std::move(dists);
+#ifdef _OPENMP
+  o.g_->built_at_level = omp_get_active_level();
+#endif
   return o;
+}
+
+void Overlay::materialize_g() const {
+  std::call_once(g_->once, [this] {
+#ifdef _OPENMP
+    // A first read from inside a parallel region the overlay was not built
+    // in means a reader forgot to touch g() before fanning out: G would be
+    // built on that region's serial nested team. (An overlay built inside
+    // a region, one per sim::run_trials trial, may materialize there.)
+    assert(omp_get_active_level() <= g_->built_at_level);
+#endif
+    obs::Span span("overlay.materialize_g");
+    build_k_balls(h_simple_, k_, g_->g, g_->dist);
+    span.arg("n", params_.n).arg("slots", g_->g.num_slots());
+    g_->ready = true;
+  });
 }
 
 Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
@@ -106,18 +134,20 @@ Overlay Overlay::build_with_balls(const OverlayParams& params, Graph h,
   }
   o.h_ = std::move(h);
   o.h_simple_ = simplify(o.h_);
-  o.g_ = std::move(g);
-  o.g_dist_ = std::move(g_dist);
+  o.g_->g = std::move(g);
+  o.g_->dist = std::move(g_dist);
+  o.g_->ready = true;
   return o;
 }
 
 std::uint8_t Overlay::h_dist(NodeId v, NodeId w) const {
   if (v == w) return 0;
-  const auto nbrs = g_.neighbors(v);
+  const LazyG& l = lazy();
+  const auto nbrs = l.g.neighbors(v);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
   if (it == nbrs.end() || *it != w) return kNotInBall;
   const auto slot = static_cast<std::uint64_t>(it - nbrs.begin());
-  return g_dist_[g_.first_slot(v) + slot];
+  return l.dist[l.g.first_slot(v) + slot];
 }
 
 }  // namespace byz::graph

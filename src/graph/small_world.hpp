@@ -6,7 +6,10 @@
 // simulator of course does.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 
 #include "graph/graph.hpp"
@@ -30,22 +33,38 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
 
 /// A sampled overlay: the H multigraph, its simple view, and the dedup'd
 /// G = k-ball adjacency annotated with exact H-distances per slot.
+///
+/// WHEN G EXISTS. build / build_from_h leave G unbuilt: they sample (or
+/// adopt) and validate H and build h_simple, O(n·d) bytes. G is
+/// materialized on the first call to g(), g_dists() or h_dist(), exactly
+/// once and thread-safely (the overlay cache shares one const Overlay
+/// across concurrent trials), and is then immutable. Readers that never
+/// touch G — the flood kernel, BRC, a disabled-verification Verifier —
+/// never pay for it. build_with_balls adopts a ready-made G eagerly.
+///
+/// A reader that fans out over nodes (an OpenMP loop calling g_dists(v))
+/// must touch g() BEFORE its parallel region: a first touch inside the
+/// region would build G on that region's serial nested team. Debug builds
+/// assert this in the builder.
 class Overlay {
  public:
-  /// Samples H(n,d) (span `overlay.sample_h`) and materializes G.
+  /// Samples H(n,d) (span `overlay.sample_h`) and builds h_simple; G is
+  /// materialized lazily (see the class comment).
   [[nodiscard]] static Overlay build(const OverlayParams& params);
 
-  /// Materializes G over a caller-supplied H multigraph (must be an exactly
-  /// d-regular multigraph on params.n nodes; parallel edges allowed). Used
-  /// by dynamics::MutableOverlay to turn an epoch's cycle state into the
-  /// immutable overlay the protocols run on; params.seed/generation are
-  /// recorded as provenance, not re-sampled. Span `overlay.materialize_g`.
+  /// Wraps a caller-supplied H multigraph (must be an exactly d-regular
+  /// multigraph on params.n nodes; parallel edges allowed); G over it is
+  /// materialized lazily. Used by dynamics::MutableOverlay to turn an
+  /// epoch's cycle state into the immutable overlay the protocols run on;
+  /// params.seed/generation are recorded as provenance, not re-sampled.
   ///
-  /// Cost: two OpenMP-parallel bounded BFS passes over H (ball sizes, then
-  /// the balls); each ball is radix-sorted by id (no comparison sort) and
-  /// written straight into its row of G's final CSR and distance arrays.
-  /// G exists once: peak memory is the finished overlay, O(n * (d-1)^k),
-  /// plus a few ball-sized buffers per thread.
+  /// Cost of G's build (span `overlay.materialize_g`, on the thread that
+  /// first reads G): two bounded BFS passes over H (ball sizes, then the
+  /// balls), OpenMP-parallel from kParallelBuildMinNodes nodes up; each
+  /// ball is radix-sorted by id (no comparison sort) and written straight
+  /// into its row of G's final CSR and distance arrays. G exists once:
+  /// peak memory is the finished overlay, O(n * (d-1)^k), plus a few
+  /// ball-sized buffers per thread.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 
@@ -56,10 +75,15 @@ class Overlay {
   /// node. Skipping that BFS is the incremental snapshot engine's hot path;
   /// it is the CALLER's contract that the balls match H (the engine's debug
   /// mode cross-checks against a full rebuild). Only cheap shape invariants
-  /// are validated here.
+  /// are validated here. G is resident from the start.
   [[nodiscard]] static Overlay build_with_balls(
       const OverlayParams& params, Graph h, Graph g,
       std::vector<std::uint8_t> g_dist);
+
+  /// Below this many nodes G's build runs on one thread: forking the
+  /// OpenMP team costs more than the BFS passes save (measured in
+  /// CHANGES.md). The build is bitwise-identical at every team size.
+  static constexpr NodeId kParallelBuildMinNodes = 2048;
 
   [[nodiscard]] const OverlayParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
@@ -67,12 +91,14 @@ class Overlay {
 
   [[nodiscard]] const Graph& h() const noexcept { return h_; }
   [[nodiscard]] const Graph& h_simple() const noexcept { return h_simple_; }
-  [[nodiscard]] const Graph& g() const noexcept { return g_; }
+  /// G, materialized on first use.
+  [[nodiscard]] const Graph& g() const { return lazy().g; }
 
   /// H-distances aligned with g().neighbors(v); values in [1, k].
   [[nodiscard]] std::span<const std::uint8_t> g_dists(NodeId v) const {
-    return {g_dist_.data() + g_.first_slot(v),
-            g_dist_.data() + g_.first_slot(v) + g_.degree(v)};
+    const LazyG& l = lazy();
+    return {l.dist.data() + l.g.first_slot(v),
+            l.dist.data() + l.g.first_slot(v) + l.g.degree(v)};
   }
 
   /// Exact H-distance from v to w if w lies within v's k-ball, else
@@ -85,18 +111,41 @@ class Overlay {
     return h_simple_.neighbors(v);
   }
 
+  /// Whether G is resident (never forces it).
+  [[nodiscard]] bool g_materialized() const noexcept {
+    return g_->ready;
+  }
+
+  /// Bytes resident now: H and h_simple, plus G once materialized.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return h_.memory_bytes() + h_simple_.memory_bytes() + g_.memory_bytes() +
-           g_dist_.size();
+    std::uint64_t bytes = h_.memory_bytes() + h_simple_.memory_bytes();
+    if (g_materialized()) bytes += g_->g.memory_bytes() + g_->dist.size();
+    return bytes;
   }
 
  private:
+  /// G and its once-only build state. Held by pointer: std::once_flag is
+  /// neither movable nor copyable, and the pointee stays writable from the
+  /// const accessors that trigger the build.
+  struct LazyG {
+    std::once_flag once;
+    std::atomic<bool> ready{false};
+    int built_at_level = 0;  ///< OpenMP active level at construction
+    Graph g;
+    std::vector<std::uint8_t> dist;
+  };
+
+  [[nodiscard]] const LazyG& lazy() const {
+    if (!g_->ready) materialize_g();
+    return *g_;
+  }
+  void materialize_g() const;
+
   OverlayParams params_;
   std::uint32_t k_ = 0;
   Graph h_;
   Graph h_simple_;
-  Graph g_;
-  std::vector<std::uint8_t> g_dist_;
+  std::unique_ptr<LazyG> g_ = std::make_unique<LazyG>();
 };
 
 /// The paper's k = ceil(d/3).

@@ -105,9 +105,10 @@ RunResult run_brc_counting(const graph::Overlay& overlay,
   const std::vector<bool> crashed(nb, false);
 
   // The kernel still wants a Verifier; BRC's is permissive (enabled=false —
-  // zero interrogation traffic) because the commitment filter below runs
-  // BEFORE injection delivery. Under mid-run churn begin_phase owns it (the
-  // caller must hand the feed a disabled-verification config).
+  // zero interrogation traffic, no tables, no G) because the commitment
+  // filter below runs BEFORE injection delivery. Under mid-run churn
+  // begin_phase owns it (the caller must hand the feed a
+  // disabled-verification config).
   const Verifier* verifier = controls.verifier;
   std::optional<Verifier> owned_verifier;
   const FloodExec flood_exec = resolve_flood_exec(controls.flood);

@@ -32,9 +32,12 @@
 // (withholding colors, dropping relays), which only shrinks the observed
 // maximum by O(|Byz|/n) — the declared bound absorbs it. Consequently BRC
 // needs NO adjacency-exchange stage, NO crash rule, and NO verification
-// traffic (the Verifier it passes to the kernel has enabled=false; the
-// commitment filter runs before injection delivery) — the
-// accuracy/rounds/messages frontier E31 measures against Algorithm 2.
+// traffic (the Verifier it passes to the kernel has enabled=false and
+// holds no ball-row or chain tables; the commitment filter runs before
+// injection delivery) — the accuracy/rounds/messages frontier E31
+// measures against Algorithm 2. Since the flood kernel walks H alone, a
+// cold BRC run never materializes the overlay's k-ball graph G (only an
+// audited run does, to digest the verifier rows it would have tabled).
 //
 // Tier support: cold runs and mid-run churn (the kernel's MidRunHooks ride
 // unchanged; batches are the backend's "phases", so joiner admission and

@@ -14,13 +14,26 @@ void digest_phase_state(obs::RunDigester& digester, const Verifier& verifier,
     digester.fold_phase(obs::digest_state_term(
         v, (static_cast<std::uint64_t>(status[v]) << 32) | estimate[v]));
   }
+  // A verifier without tables (verification off) folds the rows its
+  // primary constructor would have tabled, derived here on demand — the
+  // same terms, so digests do not depend on whether the table was built.
+  const graph::Overlay& overlay = verifier.overlay();
+  std::vector<std::uint32_t> derived(overlay.k());
   for (NodeId v = 0; v < id_bound; ++v) {
-    std::uint64_t row = 0;
-    for (const std::uint32_t count : verifier.ball_row(v)) {
-      row = obs::mix2(row, count);
+    std::span<const std::uint32_t> counts;
+    std::uint64_t chain = 0;
+    if (verifier.tabled()) {
+      counts = verifier.ball_row(v);
+      chain = verifier.usable_chain(v);
+    } else {
+      verifier_ball_row(overlay, v, derived.data());
+      counts = derived;
+      chain = verifier_chain_len(overlay, verifier.byz_mask(), v,
+                                 verifier.config().chain_model);
     }
-    digester.fold_phase(
-        obs::digest_state_term(v, obs::mix2(row, verifier.usable_chain(v))));
+    std::uint64_t row = 0;
+    for (const std::uint32_t count : counts) row = obs::mix2(row, count);
+    digester.fold_phase(obs::digest_state_term(v, obs::mix2(row, chain)));
   }
 }
 

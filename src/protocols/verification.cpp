@@ -86,14 +86,23 @@ std::uint8_t verifier_chain_len(const graph::Overlay& overlay,
 Verifier::Verifier(const graph::Overlay& overlay,
                    const std::vector<bool>& byz_mask,
                    VerificationConfig config, std::uint32_t threads)
-    : overlay_(&overlay), byz_(&byz_mask), config_(config), k_(overlay.k()) {
+    : overlay_(&overlay),
+      byz_(&byz_mask),
+      config_(config),
+      k_(overlay.k()),
+      tabled_(config.enabled) {
   const NodeId n = overlay.num_nodes();
   if (byz_mask.size() != n) {
     throw std::invalid_argument("Verifier: mask size mismatch");
   }
   if (k_ >= 16) throw std::invalid_argument("Verifier: k too large");
+  // accept() reads no table when verification is off, so none is built
+  // (and G need not exist); digest_phase_state derives the rows on demand.
+  if (!config_.enabled) return;
   ball_counts_.assign(static_cast<std::size_t>(n) * k_, 0);
   chain_len_.assign(n, 0);
+  // Materialize G here, not on a worker's first row inside the region.
+  (void)overlay.g();
   // Each row is a pure function of the overlay (and mask) written to a
   // disjoint slice, so the batched precompute is trivially deterministic.
   const int nt = static_cast<int>(
@@ -120,7 +129,8 @@ Verifier::Verifier(const graph::Overlay& overlay,
       config_(config),
       k_(overlay.k()),
       ball_counts_(std::move(ball_counts)),
-      chain_len_(std::move(chain_len)) {
+      chain_len_(std::move(chain_len)),
+      tabled_(true) {
   const NodeId n = overlay.num_nodes();
   // `>=`, not `==`: the mid-run churn tier verifies over the run's id
   // space (snapshot members plus scheduled joiners), which is a superset

@@ -87,7 +87,9 @@ class Verifier {
   /// `threads` batches the per-node ball-row + chain-length precompute:
   /// 1 = serial (the default and the reference behavior), 0 = hardware
   /// concurrency, N = N workers. Every row is a pure function of the
-  /// overlay, so the table is identical for every thread count.
+  /// overlay, so the table is identical for every thread count. With
+  /// config.enabled == false no table is built (accept() reads none), so
+  /// the overlay's G is never materialized on this verifier's account.
   Verifier(const graph::Overlay& overlay, const std::vector<bool>& byz_mask,
            VerificationConfig config, std::uint32_t threads = 1);
 
@@ -103,6 +105,11 @@ class Verifier {
            VerificationConfig config,
            std::vector<std::uint32_t> ball_counts,
            std::vector<std::uint8_t> chain_len);
+
+  /// Whether ball rows and chain lengths are held (false only for a
+  /// disabled-verification verifier from the primary constructor).
+  /// ball_row, check_ball_size and usable_chain require them.
+  [[nodiscard]] bool tabled() const noexcept { return tabled_; }
 
   /// This node's k cumulative ball counts (the state the warm tier caches).
   [[nodiscard]] std::span<const std::uint32_t> ball_row(
@@ -128,6 +135,8 @@ class Verifier {
   [[nodiscard]] std::uint32_t usable_chain(graph::NodeId endpoint) const;
 
   [[nodiscard]] const VerificationConfig& config() const { return config_; }
+  [[nodiscard]] const graph::Overlay& overlay() const { return *overlay_; }
+  [[nodiscard]] const std::vector<bool>& byz_mask() const { return *byz_; }
 
  private:
   const graph::Overlay* overlay_;
@@ -138,6 +147,7 @@ class Verifier {
   std::vector<std::uint32_t> ball_counts_;
   // usable chain length per node (0 for honest nodes).
   std::vector<std::uint8_t> chain_len_;
+  bool tabled_ = false;
 };
 
 /// Longest simple Byzantine-only path in H ending at `endpoint`, capped.

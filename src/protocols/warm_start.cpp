@@ -214,6 +214,7 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
                    ? warm_exec.threads
                    : std::max(1u, std::thread::hardware_concurrency())));
     (void)rows_nt;
+    (void)overlay.g();  // materialize G before the fan-out, not inside it
     std::uint64_t reused = 0;
     std::uint64_t recomputed = 0;
 #pragma omp parallel for schedule(dynamic, 64) num_threads(rows_nt) \

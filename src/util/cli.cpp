@@ -104,6 +104,19 @@ std::int64_t ArgParser::integer(std::string_view name) const {
   }
 }
 
+std::int64_t ArgParser::checked_integer(std::string_view name,
+                                        std::int64_t lo,
+                                        std::int64_t hi) const {
+  const std::int64_t value = integer(name);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("option --" + std::string(name) +
+                                " must be in [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 double ArgParser::real(std::string_view name) const {
   const std::string v = str(name);
   try {

@@ -3,6 +3,7 @@
 // --help generation. No external dependencies.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -26,6 +27,14 @@ class ArgParser {
   [[nodiscard]] bool flag(std::string_view name) const;
   [[nodiscard]] std::string str(std::string_view name) const;
   [[nodiscard]] std::int64_t integer(std::string_view name) const;
+  /// integer(), range-checked to [lo, hi] before the cast to T, so a
+  /// negative --jobs can never wrap to ~4e9 workers. Throws
+  /// std::invalid_argument naming the option and the range otherwise.
+  template <std::integral T>
+  [[nodiscard]] T integer_in(std::string_view name, T lo, T hi) const {
+    return static_cast<T>(checked_integer(name, static_cast<std::int64_t>(lo),
+                                          static_cast<std::int64_t>(hi)));
+  }
   [[nodiscard]] double real(std::string_view name) const;
   /// Parses comma-separated integers, e.g. --sizes=1024,2048,4096.
   [[nodiscard]] std::vector<std::int64_t> int_list(std::string_view name) const;
@@ -40,6 +49,9 @@ class ArgParser {
     bool is_flag = false;
     bool seen = false;
   };
+  [[nodiscard]] std::int64_t checked_integer(std::string_view name,
+                                             std::int64_t lo,
+                                             std::int64_t hi) const;
   [[nodiscard]] const Option* find(std::string_view name) const;
   Option* find(std::string_view name);
 

@@ -87,6 +87,32 @@ TEST(OverlayCache, EvictsLeastRecentlyUsedPastByteBound) {
   EXPECT_EQ(cache.stats().misses, 3u);
 }
 
+TEST(OverlayCache, LaterMaterializedGCountsAgainstTheBound) {
+  // Inserted overlays hold H only; G appears on the first read. The bound
+  // is sized so two H-only overlays fit but one overlay with its G does
+  // not: forcing G on the cached entry must make the next insertion evict.
+  graph::OverlayParams params;
+  params.n = 512;
+  params.d = 6;
+  params.seed = 1;
+  const auto probe = graph::Overlay::build(params);
+  const std::uint64_t h_only = probe.memory_bytes();
+  (void)probe.g();
+  const std::uint64_t with_g = probe.memory_bytes();
+  ASSERT_GT(with_g, 3 * h_only);
+
+  OverlayCache cache(/*max_bytes=*/3 * h_only);
+  const auto a = cache.get(512, 6, 1);
+  EXPECT_EQ(cache.stats().resident_bytes, h_only);
+  (void)a->g();  // a trial reading G on the shared overlay
+  EXPECT_EQ(cache.stats().resident_bytes, with_g);
+  const auto b = cache.get(512, 6, 2);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes, b->memory_bytes());
+}
+
 TEST(OverlayCache, SnapshotGenerationNeverAliasesTheStaticKey) {
   // The collision scenario the generation tag exists for: a dynamic epoch
   // snapshot carries the same (n, d, seed) as the static sample it evolved

@@ -5,6 +5,8 @@
 #include <omp.h>
 
 #include <cmath>
+#include <latch>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -203,6 +205,11 @@ TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
 #endif
             const Overlay got = Overlay::build_from_h(p, sample_h(n, d, seed));
             ++checked;
+            // G is built lazily, by overlays_identical's first read, at
+            // this team size.
+            if (got.g_materialized()) {
+              ADD_FAILURE() << "G built eagerly: n=" << n;
+            }
             if (!incremental::overlays_identical(ref, got)) {
               ++mismatches;
               ADD_FAILURE() << "n=" << n << " d=" << d << " k=" << k
@@ -218,6 +225,64 @@ TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
 #endif
   EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(checked, 14u * 7u * 2u * teams.size());
+}
+
+TEST(SmallWorld, GIsBuiltOnFirstReadAndCountedOnlyThen) {
+  OverlayParams p;
+  p.n = 512;
+  p.d = 6;
+  p.seed = 3;
+  const Overlay o = Overlay::build(p);
+  EXPECT_FALSE(o.g_materialized());
+  EXPECT_EQ(o.memory_bytes(), o.h().memory_bytes() + o.h_simple().memory_bytes());
+  EXPECT_EQ(o.h_dist(0, o.h_neighbors(0)[0]), 1u);  // any G accessor builds it
+  EXPECT_TRUE(o.g_materialized());
+  EXPECT_EQ(o.memory_bytes(), o.h().memory_bytes() +
+                                  o.h_simple().memory_bytes() +
+                                  o.g().memory_bytes() + o.g().num_slots());
+  // Moving an overlay carries its G (built or not) along.
+  Overlay lazy = Overlay::build(p);
+  const Overlay moved = std::move(lazy);
+  EXPECT_FALSE(moved.g_materialized());
+  EXPECT_TRUE(incremental::overlays_identical(o, moved));
+}
+
+TEST(SmallWorld, ConcurrentFirstReadsOfASharedOverlayBuildGOnce) {
+  // The overlay cache hands one const Overlay to concurrent trials, so the
+  // first reads of G race by design. Four threads released together must
+  // all see the same G, equal to an eagerly assembled one. At this size
+  // the build itself fans out (OpenMP builds) from whichever thread wins.
+  OverlayParams p;
+  p.n = Overlay::kParallelBuildMinNodes;
+  p.d = 6;
+  p.seed = 21;
+  const Overlay eager = reference_build_from_h(p, sample_h(p.n, p.d, p.seed));
+  ASSERT_TRUE(eager.g_materialized());
+  const Overlay shared = Overlay::build_from_h(p, sample_h(p.n, p.d, p.seed));
+  ASSERT_FALSE(shared.g_materialized());
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<const Graph*> seen(kThreads, nullptr);
+  std::vector<std::uint64_t> dist_sum(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[t] = &shared.g();
+        for (NodeId v = 0; v < p.n; v += 97) {
+          for (const std::uint8_t dist : shared.g_dists(v)) dist_sum[t] += dist;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(dist_sum[t], dist_sum[0]);
+  }
+  EXPECT_TRUE(incremental::overlays_identical(eager, shared));
 }
 
 }  // namespace

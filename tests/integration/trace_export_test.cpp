@@ -129,7 +129,8 @@ TEST(TraceExportIntegration, SetupSpansNestInsideTheRun) {
 
 TEST(TraceExportIntegration, OverlayBuildSpansCarrySizes) {
   // Overlay::build is attributed in two layers on the calling thread:
-  // sampling H, then materializing G, each tagged with n and its slots.
+  // sampling H inside build, then materializing G on the first read of G,
+  // each tagged with n and its slots.
   obs::reset_trace();
   graph::OverlayParams params;
   params.n = 256;
@@ -141,16 +142,25 @@ TEST(TraceExportIntegration, OverlayBuildSpansCarrySizes) {
     obs::Span outer("test.build");
     overlay.emplace(graph::Overlay::build(params));
   }
-  obs::set_enabled(false);
-  const auto snap = obs::trace_snapshot();
-  const auto& outer = only_span(snap, "test.build");
+  auto snap = obs::trace_snapshot();
   const auto& sample = only_span(snap, "overlay.sample_h");
-  const auto& materialize = only_span(snap, "overlay.materialize_g");
-  EXPECT_TRUE(encloses(outer, sample));
-  EXPECT_TRUE(encloses(outer, materialize));
-  EXPECT_LE(sample.ts_us + sample.dur_us, materialize.ts_us);
+  EXPECT_TRUE(encloses(only_span(snap, "test.build"), sample));
   EXPECT_EQ(sample.args, "\"n\": 256, \"slots\": " +
                              std::to_string(overlay->h().num_slots()));
+  for (const auto& e : snap.events) {
+    EXPECT_NE(e.name, "overlay.materialize_g") << "G built eagerly";
+  }
+
+  {
+    obs::Span outer("test.first_read");
+    (void)overlay->g();
+  }
+  (void)overlay->g_dists(0);  // later reads build nothing
+  (void)overlay->h_dist(0, 1);
+  obs::set_enabled(false);
+  snap = obs::trace_snapshot();
+  const auto& materialize = only_span(snap, "overlay.materialize_g");
+  EXPECT_TRUE(encloses(only_span(snap, "test.first_read"), materialize));
   EXPECT_EQ(materialize.args, "\"n\": 256, \"slots\": " +
                                   std::to_string(overlay->g().num_slots()));
   obs::reset_trace();

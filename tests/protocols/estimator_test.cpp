@@ -10,6 +10,7 @@
 #include "adversary/strategies.hpp"
 #include "graph/categories.hpp"
 #include "graph/small_world.hpp"
+#include "obs/digest.hpp"
 #include "protocols/brc/brc.hpp"
 #include "protocols/estimate.hpp"
 #include "sim/runner.hpp"
@@ -220,6 +221,69 @@ TEST(BrcEstimator, ThrowsOnUnsupportedControls) {
   EXPECT_THROW((void)est->run(*overlay, byz, *strategy, 1, warm),
                std::invalid_argument);
 }
+
+TEST(BrcEstimator, ColdRunNeverMaterializesG) {
+  // BRC floods over H alone and its verifier is disabled (no tables), so
+  // neither the run nor the bound builds the k-ball graph G.
+  const auto overlay = make_overlay(1024, 6, 0xB4C6);
+  const auto byz = make_byz(1024, 0.5, 0xB4C6);
+  const std::uint64_t before = overlay->memory_bytes();
+  const auto est = make_estimator("brc");
+  (void)est->bound(*overlay);
+  RunControls controls;
+  controls.flood = {FloodMode::kParallel, 4};
+  auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+  const auto run = est->run(*overlay, byz, *strategy, 0xB4C6, controls);
+  EXPECT_GT(summarize_accuracy(run, 1024).decided, 0u);
+  EXPECT_EQ(overlay->memory_bytes(), before);
+  EXPECT_FALSE(overlay->g_materialized());
+}
+
+#if BYZ_OBS_ENABLED
+TEST(BrcEstimator, UntabledVerifierFoldsTheTabledPhaseDigests) {
+  // An audited BRC run digests the verifier rows at every batch. Its own
+  // verifier holds no tables, so the rows are derived on demand; the trail
+  // must equal a run handed the full table through the trusted-state
+  // constructor — and differ when that table differs in one entry.
+  const graph::NodeId n = 512;
+  const auto overlay = make_overlay(n, 6, 0xB4C7);
+  const auto byz = make_byz(n, 0.5, 0xB4C7);
+  const auto est = make_estimator("brc");
+  const auto run_with = [&](const Verifier* verifier, obs::RunDigester& dg) {
+    RunControls controls;
+    controls.verifier = verifier;
+    controls.digester = &dg;
+    auto strategy = adv::make_strategy(adv::StrategyKind::kFakeColor);
+    return est->run(*overlay, byz, *strategy, 0xB4C7, controls);
+  };
+  obs::RunDigester untabled;
+  const auto untabled_run = run_with(nullptr, untabled);
+
+  VerificationConfig off;
+  off.enabled = false;
+  const std::uint32_t k = overlay->k();
+  std::vector<std::uint32_t> rows(static_cast<std::size_t>(n) * k);
+  std::vector<std::uint8_t> chains(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    verifier_ball_row(*overlay, v, rows.data() + static_cast<std::size_t>(v) * k);
+    chains[v] = verifier_chain_len(*overlay, byz, v, off.chain_model);
+  }
+  const Verifier tabled(*overlay, byz, off, rows, chains);
+  obs::RunDigester tabled_dg;
+  EXPECT_EQ(run_with(&tabled, tabled_dg), untabled_run);
+  ASSERT_FALSE(untabled.trail().phases.empty());
+  EXPECT_FALSE(
+      obs::first_divergence(untabled.trail(), tabled_dg.trail()).diverged());
+
+  chains[n / 2] ^= 1;
+  const Verifier off_by_one(*overlay, byz, off, rows, chains);
+  obs::RunDigester off_dg;
+  EXPECT_EQ(run_with(&off_by_one, off_dg), untabled_run);
+  const auto div = obs::first_divergence(untabled.trail(), off_dg.trail());
+  EXPECT_EQ(div.level, obs::DigestDivergence::Level::kPhase);
+  EXPECT_EQ(div.phase, 1u);
+}
+#endif
 
 TEST(BrcEstimator, MaxBatchesCapReportsUndecided) {
   // A one-batch cap cannot reach the stability rule (it needs two batch

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "adversary/strategies.hpp"
@@ -198,6 +199,31 @@ TEST(FloodParallel, VerifierTableIdenticalAtEveryThreadCount) {
         ASSERT_EQ(reference.ball_row(v)[r], batched.ball_row(v)[r])
             << "threads=" << t << " v=" << v << " r=" << r;
       }
+      ASSERT_EQ(reference.usable_chain(v), batched.usable_chain(v))
+          << "threads=" << t << " v=" << v;
+    }
+  }
+}
+
+TEST(FloodParallel, VerifierOnFreshOverlayMatchesSerialTable) {
+  // Each batched verifier below is the first reader of its overlay's G:
+  // the constructor must build G before fanning out, and its table must
+  // match the serial table of an overlay whose G already existed.
+  const NodeId n = 1024;
+  const Overlay warm = sample(n, 8, 56);
+  util::Xoshiro256 rng(56);
+  const auto byz = graph::random_byzantine_mask(n, n / 16, rng);
+  (void)warm.g();
+  const Verifier reference(warm, byz, {}, 1);
+  for (const std::uint32_t t : kThreadCounts) {
+    const Overlay fresh = sample(n, 8, 56);
+    ASSERT_FALSE(fresh.g_materialized());
+    const Verifier batched(fresh, byz, {}, t);
+    EXPECT_TRUE(fresh.g_materialized());
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_TRUE(std::ranges::equal(reference.ball_row(v),
+                                     batched.ball_row(v)))
+          << "threads=" << t << " v=" << v;
       ASSERT_EQ(reference.usable_chain(v), batched.usable_chain(v))
           << "threads=" << t << " v=" << v;
     }

@@ -76,6 +76,39 @@ TEST(ArgParser, BadIntegerThrows) {
   EXPECT_THROW((void)p.integer("n"), std::invalid_argument);
 }
 
+TEST(ArgParser, IntegerInAcceptsTheClosedRange) {
+  for (const char* arg : {"--n=0", "--n=1024"}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(p.parse(2, argv));
+    const auto v = p.integer_in<unsigned>("n", 0, 1024);
+    EXPECT_EQ(v, static_cast<unsigned>(p.integer("n")));
+  }
+}
+
+TEST(ArgParser, IntegerInRejectsOutOfRangeBeforeTheCast) {
+  // -3 cast to unsigned would be 2^32 - 3; the accessor must refuse it
+  // (and its upper neighbour) with a message naming option and range.
+  for (const char* arg : {"--n=-3", "--n=1025", "--n=4294967293"}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(p.parse(2, argv));
+    try {
+      (void)p.integer_in<unsigned>("n", 0, 1024);
+      ADD_FAILURE() << arg << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--n"), std::string::npos) << what;
+      EXPECT_NE(what.find("[0, 1024]"), std::string::npos) << what;
+    }
+  }
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--n=abc"};
+  ASSERT_TRUE(p.parse(2, argv));
+  EXPECT_THROW((void)p.integer_in<unsigned>("n", 0, 1024),
+               std::invalid_argument);
+}
+
 TEST(ArgParser, HelpReturnsFalse) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--help"};
