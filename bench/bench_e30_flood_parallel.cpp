@@ -7,7 +7,6 @@
 // ctx.line/table only; the guard metric carries the speedup for the CI
 // perf step, which strips it before the cross---jobs manifest comparison.
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
 
@@ -54,7 +53,7 @@ void run_e30(RunContext& ctx) {
   const auto sizes = analysis::pow2_sizes(std::min(16u, hi_exp), hi_exp);
   const auto reps = ctx.trials(3);
   constexpr std::uint32_t kSteps = 8;
-  const auto hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw = util::pool_size();
 
   util::Table table("E30: parallel flood kernel vs serial reference, d=6 (" +
                     std::to_string(reps) + " reps of " +

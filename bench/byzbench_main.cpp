@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                   "");
   args.add_option("scale", "trial multiplier; < 1 also shrinks size sweeps",
                   "1.0");
-  args.add_option("jobs", "scheduler worker threads (0 = hardware)", "0");
+  args.add_option("jobs", "trials run at once (0 = one per CPU)", "0");
   args.add_option("json-out", "directory for BENCH_<exp>.json (empty = off)",
                   "");
   args.add_option("trace-out",
@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   args.add_option("flood-threads",
                   "flood-kernel default for every scenario run: 0 = serial "
                   "reference kernel, N > 0 = word-packed parallel kernel "
-                  "with N threads (bitwise-identical results either way)",
+                  "on at most N pool threads (bitwise-identical results "
+                  "either way)",
                   "0");
   args.add_option("backend",
                   "protocol backend for backend-aware scenarios (registered "

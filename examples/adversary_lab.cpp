@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "byzcount.hpp"
+#include "overlay_args.hpp"
 
 namespace {
 
@@ -63,17 +64,20 @@ int main(int argc, char** argv) {
   args.add_option("d", "H-degree", "8");
   args.add_option("delta", "Byzantine exponent", "0.6");
   args.add_option("seed", "trial seed", "7");
-  if (!args.parse(argc, argv)) return 0;
-
-  const auto n = static_cast<graph::NodeId>(args.integer("n"));
-  const auto d = static_cast<std::uint32_t>(args.integer("d"));
-  const double delta = args.real("delta");
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
-
   graph::OverlayParams params;
-  params.n = n;
-  params.d = d;
-  params.seed = seed;
+  double delta = 0.0;
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    params = examples::read_overlay_params(args);
+    delta = args.real("delta");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "adversary_lab: " << e.what() << '\n';
+    return 2;
+  }
+  const graph::NodeId n = params.n;
+  const std::uint32_t d = params.d;
+  const std::uint64_t seed = params.seed;
+
   const auto overlay = graph::Overlay::build(params);
   util::Xoshiro256 rng(seed ^ 0xB12);
   const auto byz =

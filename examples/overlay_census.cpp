@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "byzcount.hpp"
+#include "overlay_args.hpp"
 
 namespace {
 
@@ -31,18 +32,20 @@ int main(int argc, char** argv) {
   args.add_option("d", "H-degree", "8");
   args.add_option("delta", "Byzantine exponent", "0.6");
   args.add_option("seed", "trial seed", "3");
-  if (!args.parse(argc, argv)) return 0;
-
-  const auto n = static_cast<graph::NodeId>(args.integer("n"));
-  const auto d = static_cast<std::uint32_t>(args.integer("d"));
-  const double delta = args.real("delta");
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  graph::OverlayParams params;
+  double delta = 0.0;
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    params = examples::read_overlay_params(args);
+    delta = args.real("delta");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "overlay_census: " << e.what() << '\n';
+    return 2;
+  }
+  const graph::NodeId n = params.n;
+  const std::uint64_t seed = params.seed;
   const double true_log = std::log2(static_cast<double>(n));
 
-  graph::OverlayParams params;
-  params.n = n;
-  params.d = d;
-  params.seed = seed;
   const auto overlay = graph::Overlay::build(params);
   util::Xoshiro256 rng(seed ^ 0xB12);
   const auto byz =

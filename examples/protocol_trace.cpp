@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "byzcount.hpp"
+#include "overlay_args.hpp"
 
 namespace {
 
@@ -32,22 +33,27 @@ int main(int argc, char** argv) {
   args.add_option("delta", "Byzantine exponent", "0.6");
   args.add_option("seed", "trial seed", "5");
   args.add_option("strategy", "adversary strategy", "fake-color");
-  if (!args.parse(argc, argv)) return 0;
+  graph::OverlayParams params;
+  double delta = 0.0;
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    params = examples::read_overlay_params(args);
+    delta = args.real("delta");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "protocol_trace: " << e.what() << '\n';
+    return 2;
+  }
 
   util::set_log_level(util::LogLevel::kTrace);  // narrate phases to stderr
 
-  const auto n = static_cast<graph::NodeId>(args.integer("n"));
-  const auto d = static_cast<std::uint32_t>(args.integer("d"));
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const graph::NodeId n = params.n;
+  const std::uint32_t d = params.d;
+  const std::uint64_t seed = params.seed;
 
-  graph::OverlayParams params;
-  params.n = n;
-  params.d = d;
-  params.seed = seed;
   const auto overlay = graph::Overlay::build(params);
   util::Xoshiro256 rng(seed ^ 0xB12);
   const auto byz = graph::random_byzantine_mask(
-      n, sim::derive_byz_count(n, args.real("delta")), rng);
+      n, sim::derive_byz_count(n, delta), rng);
   const auto strategy = adv::make_strategy(parse_strategy(args.str("strategy")));
 
   // The schedule the nodes will follow (they all know i and j, §3.1).

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "byzcount.hpp"
+#include "overlay_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace byz;
@@ -19,19 +20,22 @@ int main(int argc, char** argv) {
   args.add_option("d", "H-degree (even, >= 4)", "8");
   args.add_option("delta", "Byzantine budget exponent: B = n^(1-delta)", "0.5");
   args.add_option("seed", "trial seed", "1");
-  if (!args.parse(argc, argv)) return 0;
-
-  const auto n = static_cast<graph::NodeId>(args.integer("n"));
-  const auto d = static_cast<std::uint32_t>(args.integer("d"));
-  const double delta = args.real("delta");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.integer("seed"));
+  graph::OverlayParams params;
+  double delta = 0.0;
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    params = examples::read_overlay_params(args);
+    delta = args.real("delta");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: " << e.what() << '\n';
+    return 2;
+  }
+  const graph::NodeId n = params.n;
+  const std::uint32_t d = params.d;
+  const std::uint64_t seed = params.seed;
 
   // 1. Sample the network model of the paper: H(n,d) (expander) plus the
   //    k-hop lattice edges L (clustering). Nodes know only their channels.
-  graph::OverlayParams params;
-  params.n = n;
-  params.d = d;
-  params.seed = seed;
   const auto overlay = graph::Overlay::build(params);
   BYZ_INFO << "overlay: n=" << n << " d=" << d << " k=" << overlay.k()
            << " |E(H)|=" << overlay.h().num_edges()

@@ -144,7 +144,7 @@ bool numeric_flags_ok(const byz::util::ArgParser& args) {
       {"d", 4, 762, "an even H-degree"},
       {"trials", 1, kMaxId, "a trial count"},
       {"epochs", 1, kMaxId, "an epoch count"},
-      {"jobs", 0, 1024, "a worker count (0 = hardware)"},
+      {"jobs", 0, 1024, "a worker count (0 = one per CPU)"},
       {"flood-threads", 0, 1024, "a thread count (0 = serial)"},
   };
   for (const auto& r : ranges) {
@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
   args.add_option("delta", "Byzantine exponent", "0.5");
   args.add_option("seed", "trial-series seed", "11");
   args.add_option("trials", "independent deployments", "4");
-  args.add_option("jobs", "scheduler workers (0 = hardware)", "0");
+  args.add_option("jobs", "scheduler workers (0 = one per CPU)", "0");
   args.add_flag("churn", "continuous mode: replay a churn trace and "
                          "re-estimate on every epoch snapshot");
   args.add_option("model", "churn model: steady, burst, sybil-join",

@@ -25,7 +25,7 @@ struct ScenarioSpec;
 struct RunOptions {
   std::string filter;        ///< comma-separated substrings; empty = all
   double scale = 1.0;        ///< multiplies trial counts, shrinks sweeps
-  unsigned jobs = 0;         ///< scheduler workers; 0 = hardware
+  unsigned jobs = 0;         ///< trials at once; 0 = one per CPU
   std::string json_out;      ///< directory for BENCH_<exp>.json; empty = off
   bool list_only = false;
   bool quiet = false;        ///< suppress table stdout (tests)

@@ -1,20 +1,17 @@
-// Shared trial scheduler for the byzbench orchestrator: a work-stealing
-// index pool over std::thread. Work items claim indices from an atomic
-// counter, so load-balancing is dynamic, but every item derives its own
-// seed from (base_seed, index) with SplitMix64 and writes to its own slot —
-// results are bitwise identical for any worker count (the determinism
-// contract the tests pin down).
+// Shared trial scheduler for the byzbench orchestrator: trials fan out on
+// the process-wide worker pool (util/parallel.hpp), claimed one at a time
+// from its atomic cursor, so load-balancing is dynamic, but every item
+// derives its own seed from (base_seed, index) with SplitMix64 and writes
+// to its own slot — results are bitwise identical for any worker count
+// (the determinism contract the tests pin down).
 //
-// This replaces per-binary OpenMP loops for everything above the overlay
-// builder: scenarios, Monte-Carlo sweeps, and the examples all share one
-// scheduler so a single --jobs flag governs the whole run.
+// Scenarios, Monte-Carlo sweeps, and the examples all share one scheduler
+// so a single --jobs flag caps the trials running at once; kernels nested
+// inside a trial draw on the same pool, never on threads of their own.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -23,16 +20,16 @@ namespace byz::bench_core {
 
 class TrialScheduler {
  public:
-  /// `jobs` worker threads; 0 = hardware concurrency.
+  /// At most `jobs` trials at once; 0 = util::pool_size().
   explicit TrialScheduler(unsigned jobs = 0);
 
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
   /// Runs fn(index) for every index in [0, count). Blocks until all items
-  /// finish. Items are claimed dynamically (work stealing via a shared
-  /// atomic cursor); with jobs() == 1 the loop runs inline, no threads.
-  /// The first exception thrown by any item is rethrown to the caller
-  /// after the pool drains.
+  /// finish. Items are claimed dynamically from the pool's atomic cursor;
+  /// with jobs() == 1 the loop runs inline on the caller. The first
+  /// exception thrown by any item is rethrown to the caller after the
+  /// items already running finish.
   void for_each(std::uint64_t count,
                 const std::function<void(std::uint64_t)>& fn) const;
 

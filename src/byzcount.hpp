@@ -69,6 +69,7 @@
 #include "util/cli.hpp"                  // IWYU pragma: export
 #include "util/csv.hpp"                  // IWYU pragma: export
 #include "util/log.hpp"                  // IWYU pragma: export
+#include "util/parallel.hpp"             // IWYU pragma: export
 #include "util/rng.hpp"                  // IWYU pragma: export
 #include "util/stats.hpp"                // IWYU pragma: export
 #include "util/table.hpp"                // IWYU pragma: export

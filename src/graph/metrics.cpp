@@ -1,11 +1,11 @@
 #include "graph/metrics.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
@@ -60,11 +60,17 @@ double average_clustering(const Graph& simple, std::uint32_t sample,
       targets.push_back(static_cast<NodeId>(rng.below(n)));
     }
   }
+  // Per-target values, then a serial fold in target order: the sum has the
+  // same bits at every participant count.
+  std::vector<double> local(targets.size());
+  util::parallel_for(targets.size(), 0, 64, [&](std::uint64_t first,
+                                                std::uint64_t last) {
+    for (std::uint64_t i = first; i < last; ++i) {
+      local[i] = local_clustering(simple, targets[i]);
+    }
+  });
   double sum = 0.0;
-#pragma omp parallel for reduction(+ : sum) schedule(dynamic, 64)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(targets.size()); ++i) {
-    sum += local_clustering(simple, targets[static_cast<std::size_t>(i)]);
-  }
+  for (const double c : local) sum += c;
   return sum / static_cast<double>(targets.size());
 }
 
@@ -73,12 +79,13 @@ DiameterResult diameter(const Graph& g, std::uint32_t exact_threshold,
   const NodeId n = g.num_nodes();
   if (n == 0) return {0, true};
   if (n <= exact_threshold) {
-    std::uint32_t best = 0;
-#pragma omp parallel for reduction(max : best) schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      best = std::max(best, eccentricity(g, static_cast<NodeId>(v)));
-    }
-    return {best, true};
+    std::vector<std::uint32_t> ecc(n);
+    util::parallel_for(n, 0, 64, [&](std::uint64_t first, std::uint64_t last) {
+      for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+        ecc[v] = eccentricity(g, v);
+      }
+    });
+    return {*std::max_element(ecc.begin(), ecc.end()), true};
   }
   // Iterated double sweep: BFS from a random node, then from the farthest
   // node found; repeat from several seeds. Lower-bounds the diameter.
@@ -103,19 +110,27 @@ double average_path_length(const Graph& g, std::uint32_t sources,
   for (std::uint32_t i = 0; i < sources; ++i) {
     roots.push_back(static_cast<NodeId>(rng.below(n)));
   }
-  double total = 0.0;
-  std::uint64_t pairs = 0;
-#pragma omp parallel for reduction(+ : total, pairs) schedule(dynamic)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(roots.size()); ++i) {
-    const auto dist = bfs_distances(g, roots[static_cast<std::size_t>(i)]);
-    for (const auto d : dist) {
-      if (d != kUnreachable && d > 0) {
-        total += d;
-        ++pairs;
+  // Per-root (distance sum, pair count), folded in root order.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> per_root(roots.size());
+  util::parallel_for(roots.size(), 0, 1, [&](std::uint64_t first,
+                                             std::uint64_t last) {
+    for (std::uint64_t i = first; i < last; ++i) {
+      for (const auto d : bfs_distances(g, roots[i])) {
+        if (d != kUnreachable && d > 0) {
+          per_root[i].first += d;
+          ++per_root[i].second;
+        }
       }
     }
+  });
+  std::uint64_t total = 0;
+  std::uint64_t pairs = 0;
+  for (const auto& [sum, count] : per_root) {
+    total += sum;
+    pairs += count;
   }
-  return pairs ? total / static_cast<double>(pairs) : 0.0;
+  return pairs ? static_cast<double>(total) / static_cast<double>(pairs)
+               : 0.0;
 }
 
 }  // namespace byz::graph

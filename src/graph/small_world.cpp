@@ -1,7 +1,5 @@
 #include "graph/small_world.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -9,6 +7,7 @@
 #include "graph/bfs.hpp"
 #include "graph/hamiltonian.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
@@ -32,36 +31,32 @@ namespace {
 void build_k_balls(const Graph& h_simple, std::uint32_t k, Graph& g,
                    std::vector<std::uint8_t>& g_dist) {
   const NodeId n = h_simple.num_nodes();
-  const bool parallel = n >= Overlay::kParallelBuildMinNodes;
-  (void)parallel;
+  const std::uint64_t grain = util::balanced_grain(n, 0);
 
   // Pass 1: ball sizes (excluding the center) -> CSR offsets.
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
-#pragma omp parallel if (parallel)
-  {
+  util::parallel_for(n, 0, grain, [&](std::uint64_t first,
+                                      std::uint64_t last) {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      bfs_ball(h_simple, static_cast<NodeId>(v), k, scratch, ball);
+    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+      bfs_ball(h_simple, v, k, scratch, ball);
       offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
     }
-  }
+  });
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
   // Pass 2: each ball, radix-sorted by neighbor id (the Graph invariant
   // that h_dist binary-searches), lands in its own row of the final arrays.
   Graph::NeighborVec nodes(offsets.back());
   std::vector<std::uint8_t> dists(offsets.back());
-#pragma omp parallel if (parallel)
-  {
+  util::parallel_for(n, 0, grain, [&](std::uint64_t first,
+                                      std::uint64_t last) {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
     std::vector<std::uint64_t> keys;
     std::vector<std::uint64_t> tmp;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
+    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
       bfs_ball(h_simple, v, k, scratch, ball);
       keys.clear();
       for (std::size_t i = 1; i < ball.size(); ++i) {
@@ -74,7 +69,7 @@ void build_k_balls(const Graph& h_simple, std::uint32_t k, Graph& g,
         dists[row + i] = static_cast<std::uint8_t>(keys[i]);
       }
     }
-  }
+  });
   g = Graph::from_csr(std::move(offsets), std::move(nodes));
   g_dist = std::move(dists);
 }
@@ -95,21 +90,18 @@ Overlay Overlay::build_from_h(const OverlayParams& params, Graph h) {
 
   o.h_ = std::move(h);
   o.h_simple_ = simplify(o.h_);
-#ifdef _OPENMP
-  o.g_->built_at_level = omp_get_active_level();
-#endif
+  o.g_->built_at_depth = util::parallel_depth();
   return o;
 }
 
 void Overlay::materialize_g() const {
   std::call_once(g_->once, [this] {
-#ifdef _OPENMP
-    // A first read from inside a parallel region the overlay was not built
-    // in means a reader forgot to touch g() before fanning out: G would be
-    // built on that region's serial nested team. (An overlay built inside
-    // a region, one per sim::run_trials trial, may materialize there.)
-    assert(omp_get_active_level() <= g_->built_at_level);
-#endif
+    // A first read from inside a parallel_for the overlay was not built in
+    // means a reader forgot to touch g() before fanning out: the loop's
+    // other participants would block here while G is built without them.
+    // (An overlay built inside a loop, one per sim::run_trials trial, may
+    // materialize there.)
+    assert(util::parallel_depth() <= g_->built_at_depth);
     obs::Span span("overlay.materialize_g");
     build_k_balls(h_simple_, k_, g_->g, g_->dist);
     span.arg("n", params_.n).arg("slots", g_->g.num_slots());

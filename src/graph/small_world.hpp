@@ -42,10 +42,10 @@ inline constexpr std::uint8_t kNotInBall = 0xFF;
 /// touch G — the flood kernel, BRC, a disabled-verification Verifier —
 /// never pay for it. build_with_balls adopts a ready-made G eagerly.
 ///
-/// A reader that fans out over nodes (an OpenMP loop calling g_dists(v))
-/// must touch g() BEFORE its parallel region: a first touch inside the
-/// region would build G on that region's serial nested team. Debug builds
-/// assert this in the builder.
+/// A reader that fans out over nodes (a util::parallel_for calling
+/// g_dists(v)) must touch g() BEFORE its loop: a first touch inside the
+/// loop would build G while the loop's other participants block on it.
+/// Debug builds assert this in the builder.
 class Overlay {
  public:
   /// Samples H(n,d) (span `overlay.sample_h`) and builds h_simple; G is
@@ -60,7 +60,7 @@ class Overlay {
   ///
   /// Cost of G's build (span `overlay.materialize_g`, on the thread that
   /// first reads G): two bounded BFS passes over H (ball sizes, then the
-  /// balls), OpenMP-parallel from kParallelBuildMinNodes nodes up; each
+  /// balls), each fanned out on the worker pool (util/parallel.hpp); each
   /// ball is radix-sorted by id (no comparison sort) and written straight
   /// into its row of G's final CSR and distance arrays. G exists once:
   /// peak memory is the finished overlay, O(n * (d-1)^k), plus a few
@@ -79,11 +79,6 @@ class Overlay {
   [[nodiscard]] static Overlay build_with_balls(
       const OverlayParams& params, Graph h, Graph g,
       std::vector<std::uint8_t> g_dist);
-
-  /// Below this many nodes G's build runs on one thread: forking the
-  /// OpenMP team costs more than the BFS passes save (measured in
-  /// CHANGES.md). The build is bitwise-identical at every team size.
-  static constexpr NodeId kParallelBuildMinNodes = 2048;
 
   [[nodiscard]] const OverlayParams& params() const noexcept { return params_; }
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
@@ -130,7 +125,7 @@ class Overlay {
   struct LazyG {
     std::once_flag once;
     std::atomic<bool> ready{false};
-    int built_at_level = 0;  ///< OpenMP active level at construction
+    unsigned built_at_depth = 0;  ///< util::parallel_depth() at construction
     Graph g;
     std::vector<std::uint8_t> dist;
   };

@@ -1,11 +1,11 @@
 #include "graph/tree_like.hpp"
 
-#include <omp.h>
-
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::graph {
 
@@ -74,22 +74,21 @@ TreeLikeResult classify_tree_like(const Graph& h_multi, std::uint32_t d,
   const NodeId n = h_multi.num_nodes();
   TreeLikeResult result;
   result.radius = radius;
-  result.is_tree_like.assign(n, false);
   const std::uint64_t want = tree_ball_size(d, radius);
-  std::uint64_t count = 0;
-#pragma omp parallel reduction(+ : count)
-  {
+  // One byte per node: chunks write disjoint bytes, whereas neighbouring
+  // vector<bool> bits share a word.
+  std::vector<std::uint8_t> ltl(n, 0);
+  util::parallel_for(n, 0, util::balanced_grain(n, 0), [&](std::uint64_t first,
+                                                          std::uint64_t last) {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const bool ltl = node_is_tree_like(h_multi, static_cast<NodeId>(v),
-                                         radius, want, scratch, ball);
-      result.is_tree_like[static_cast<std::size_t>(v)] = ltl;
-      if (ltl) ++count;
+    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+      ltl[v] = node_is_tree_like(h_multi, v, radius, want, scratch, ball);
     }
-  }
-  result.count = count;
+  });
+  result.is_tree_like.assign(ltl.begin(), ltl.end());
+  result.count = static_cast<std::uint64_t>(
+      std::count(ltl.begin(), ltl.end(), std::uint8_t{1}));
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include "graph/small_world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::incremental {
 
@@ -120,16 +121,15 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
   {
     obs::Span bfs_span("incremental.dirty_bfs");
     bfs_span.arg("recompute", recompute.size()).arg("alive", n);
-#pragma omp parallel
-    {
-      graph::BfsScratch scratch;
-      std::vector<graph::BallEntry> tmp;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(recompute.size());
-           ++i) {
-        recompute_ball(recompute[static_cast<std::size_t>(i)], scratch, tmp);
-      }
-    }
+    util::parallel_for(
+        recompute.size(), 0, util::balanced_grain(recompute.size(), 0),
+        [&](std::uint64_t first, std::uint64_t last) {
+          graph::BfsScratch scratch;
+          std::vector<graph::BallEntry> tmp;
+          for (std::uint64_t i = first; i < last; ++i) {
+            recompute_ball(recompute[i], scratch, tmp);
+          }
+        });
   }
   // Departed nodes keep no ball (their stable ids are never reused).
   for (NodeId v = 0; v < bound; ++v) {
@@ -159,17 +159,19 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
       h_off[i] = static_cast<std::uint64_t>(i) * d;
     }
     graph::Graph::NeighborVec h_nbrs(static_cast<std::uint64_t>(n) * d);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
-      const auto i = static_cast<NodeId>(si);
-      const NodeId v = snap.dense_to_stable[i];
-      NodeId* row = h_nbrs.data() + static_cast<std::uint64_t>(i) * d;
-      for (std::uint32_t c = 0; c < cycles; ++c) {
-        row[2 * c] = dense[ov.successor(c, v)];
-        row[2 * c + 1] = dense[ov.predecessor(c, v)];
+    const std::uint64_t grain = util::balanced_grain(n, 0);
+    util::parallel_for(n, 0, grain, [&](std::uint64_t first,
+                                        std::uint64_t last) {
+      for (auto i = static_cast<NodeId>(first); i < last; ++i) {
+        const NodeId v = snap.dense_to_stable[i];
+        NodeId* row = h_nbrs.data() + static_cast<std::uint64_t>(i) * d;
+        for (std::uint32_t c = 0; c < cycles; ++c) {
+          row[2 * c] = dense[ov.successor(c, v)];
+          row[2 * c + 1] = dense[ov.predecessor(c, v)];
+        }
+        std::sort(row, row + d);
       }
-      std::sort(row, row + d);
-    }
+    });
 
     // G: prefix-sum the stored ball sizes, then translate stable→dense.
     // The mapping is monotone (dense order IS increasing stable order), so
@@ -180,16 +182,17 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     }
     graph::Graph::NeighborVec g_nbrs(g_off[n]);
     std::vector<std::uint8_t> g_dist(g_off[n]);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t si = 0; si < static_cast<std::int64_t>(n); ++si) {
-      const auto i = static_cast<NodeId>(si);
-      const auto& ball = balls_[snap.dense_to_stable[i]];
-      const std::uint64_t base = g_off[i];
-      for (std::size_t j = 0; j < ball.size(); ++j) {
-        g_nbrs[base + j] = dense[ball[j].node];
-        g_dist[base + j] = ball[j].dist;
+    util::parallel_for(n, 0, grain, [&](std::uint64_t first,
+                                        std::uint64_t last) {
+      for (auto i = static_cast<NodeId>(first); i < last; ++i) {
+        const auto& ball = balls_[snap.dense_to_stable[i]];
+        const std::uint64_t base = g_off[i];
+        for (std::size_t j = 0; j < ball.size(); ++j) {
+          g_nbrs[base + j] = dense[ball[j].node];
+          g_dist[base + j] = ball[j].dist;
+        }
       }
-    }
+    });
 
     graph::OverlayParams params;
     params.n = n;

@@ -117,7 +117,7 @@ RunResult run_counting_with(const graph::Overlay& overlay,
   const FloodExec flood_exec = resolve_flood_exec(controls.flood);
   if (verifier == nullptr && midrun == nullptr) {
     // A parallel run batches the verifier's row precompute with the same
-    // worker count (0 = hardware; the table is identical either way — each
+    // participant cap (0 = whole pool; the table is identical either way — each
     // row is a pure function of the overlay).
     obs::Span verifier_span("count.verifier");
     owned_verifier.emplace(

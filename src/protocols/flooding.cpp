@@ -6,11 +6,11 @@
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/digest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::proto {
 
@@ -22,27 +22,10 @@ using graph::NodeId;
 
 namespace {
 
-// The override is packed into one atomic word: bit 63 marks "set", byte 4
-// holds the mode, the low 32 bits the thread count. 0 means "no override":
-// fall back to the environment-derived default.
-constexpr std::uint64_t kExecSetBit = std::uint64_t{1} << 63;
-
-std::uint64_t pack_exec(FloodExec exec) {
-  return kExecSetBit |
-         (static_cast<std::uint64_t>(static_cast<std::uint8_t>(exec.mode))
-          << 32) |
-         exec.threads;
-}
-
-FloodExec unpack_exec(std::uint64_t packed) {
-  FloodExec exec;
-  exec.mode = static_cast<FloodMode>((packed >> 32) & 0xff);
-  exec.threads = static_cast<std::uint32_t>(packed & 0xffffffffu);
-  return exec;
-}
-
-std::atomic<std::uint64_t>& exec_override() {
-  static std::atomic<std::uint64_t> value{0};
+// The runtime override; mode kDefault means "none": fall back to the
+// environment-derived default.
+std::atomic<FloodExec>& exec_override() {
+  static std::atomic<FloodExec> value{FloodExec{}};
   return value;
 }
 
@@ -69,17 +52,12 @@ FloodExec env_default_exec() {
 }  // namespace
 
 void set_default_flood_exec(FloodExec exec) {
-  if (exec.mode == FloodMode::kDefault) {
-    exec_override().store(0, std::memory_order_relaxed);
-    return;
-  }
-  exec_override().store(pack_exec(exec), std::memory_order_relaxed);
+  exec_override().store(exec, std::memory_order_relaxed);
 }
 
 FloodExec default_flood_exec() {
-  const std::uint64_t packed = exec_override().load(std::memory_order_relaxed);
-  if (packed != 0) return unpack_exec(packed);
-  return env_default_exec();
+  const FloodExec exec = exec_override().load(std::memory_order_relaxed);
+  return exec.mode == FloodMode::kDefault ? env_default_exec() : exec;
 }
 
 FloodExec resolve_flood_exec(FloodExec exec) {
@@ -107,38 +85,19 @@ const obs::Histogram& frontier_histogram() {
   return hist;
 }
 
-/// Fork/join over `num_words` bitset words in `nt` contiguous chunks; each
-/// worker runs body(first_word, last_word) exactly once, so per-worker
-/// accumulators live inside the body and merge at its end. The OpenMP form
-/// (one static chunk per thread) composes with the surrounding code's omp
-/// usage; under TSan the tool cannot see libgomp's futex barriers, so that
-/// build — and the no-OpenMP fallback — uses std::thread, whose join gives
-/// the identical fork/join happens-before in a form TSan understands.
+/// Fork/join over `num_words` bitset words on the worker pool, with at most
+/// `nt` participants (0 = the whole pool); body(first_word, last_word)
+/// runs once per chunk, so per-chunk accumulators live inside the body and
+/// merge at its end.
 template <typename Body>
-void parallel_word_chunks(int nt, std::int64_t num_words, const Body& body) {
-  if (nt <= 1 || num_words <= 1) {
-    body(std::int64_t{0}, num_words);
-    return;
-  }
-  const std::int64_t chunks = std::min<std::int64_t>(nt, num_words);
-  const std::int64_t chunk = (num_words + chunks - 1) / chunks;
-#if defined(_OPENMP) && !defined(__SANITIZE_THREAD__)
-#pragma omp parallel for schedule(static, 1) num_threads(static_cast<int>(chunks))
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    body(c * chunk, std::min<std::int64_t>(num_words, (c + 1) * chunk));
-  }
-#else
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(chunks - 1));
-  for (std::int64_t c = 1; c < chunks; ++c) {
-    const std::int64_t first = c * chunk;
-    const std::int64_t last =
-        std::min<std::int64_t>(num_words, (c + 1) * chunk);
-    workers.emplace_back([&body, first, last] { body(first, last); });
-  }
-  body(std::int64_t{0}, std::min<std::int64_t>(num_words, chunk));
-  for (auto& th : workers) th.join();
-#endif
+void parallel_word_chunks(unsigned nt, std::int64_t num_words,
+                          const Body& body) {
+  const auto words = static_cast<std::uint64_t>(num_words);
+  util::parallel_for(words, nt, util::balanced_grain(words, nt),
+                     [&](std::uint64_t first, std::uint64_t last) {
+                       body(static_cast<std::int64_t>(first),
+                            static_cast<std::int64_t>(last));
+                     });
 }
 
 // ---------------------------------------------------------------------------
@@ -300,9 +259,9 @@ void run_subphase_serial(const graph::Overlay& overlay,
 //   * touched membership is "recv went 0 -> c", marked exactly once by the
 //     thread whose CAS succeeds from 0 (values only grow, so per node and
 //     step only one CAS with expected value 0 can ever succeed);
-//   * the round digest is a commutative XOR fold, accumulated per worker
-//     and folded once on the main thread;
-//   * Instrumentation is sums plus one max, merged per worker under a
+//   * the round digest is a commutative XOR fold, accumulated per chunk
+//     and folded under a mutex;
+//   * Instrumentation is sums plus one max, merged per chunk under a
 //     mutex via Instrumentation::merge. Conformant frontier sends always
 //     satisfy c == legit_fresh (step 1: c = known = gen_color; later
 //     steps: frontier membership implies fresh == t-1, so legit = known =
@@ -335,8 +294,6 @@ void run_subphase_parallel(const graph::Overlay& overlay,
   const auto present = [&](NodeId v) {
     return live == nullptr || live->alive(v);
   };
-  const int nt = static_cast<int>(
-      threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency()));
 
   using Word = util::Bitset::Word;
   constexpr std::size_t kWordBits = util::Bitset::kWordBits;
@@ -364,7 +321,7 @@ void run_subphase_parallel(const graph::Overlay& overlay,
   // stored exactly once.
   {
     Word* fw = ws.frontier_bits.words();
-    parallel_word_chunks(nt, num_words, [&](std::int64_t first,
+    parallel_word_chunks(threads, num_words, [&](std::int64_t first,
                                             std::int64_t last) {
       for (std::int64_t wi = first; wi < last; ++wi) {
         Word w = 0;
@@ -410,7 +367,7 @@ void run_subphase_parallel(const graph::Overlay& overlay,
     // Sender sweep over frontier words.
     {
       const Word* fw = ws.frontier_bits.words();
-      parallel_word_chunks(nt, num_words, [&](std::int64_t first,
+      parallel_word_chunks(threads, num_words, [&](std::int64_t first,
                                               std::int64_t last) {
         sim::Instrumentation local;
         std::uint64_t dig = 0;
@@ -492,7 +449,7 @@ void run_subphase_parallel(const graph::Overlay& overlay,
     {
       Word* tw_words = ws.touched_bits.words();
       Word* nf_words = ws.next_frontier_bits.words();
-      parallel_word_chunks(nt, num_words, [&](std::int64_t first,
+      parallel_word_chunks(threads, num_words, [&](std::int64_t first,
                                               std::int64_t last) {
         std::uint64_t dig = 0;
         for (std::int64_t wi = first; wi < last; ++wi) {

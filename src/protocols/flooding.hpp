@@ -46,17 +46,18 @@ class RunDigester;
 namespace byz::proto {
 
 /// Which flood kernel a run uses. kSerial is the scalar reference oracle —
-/// always available, never removed; kParallel is the word-packed OpenMP
-/// kernel, bitwise identical to kSerial at every thread count (the
-/// determinism-by-construction contract documented in flooding.cpp and
-/// guarded by tests/protocols/flood_parallel_test.cpp and E30). kDefault
+/// always available, never removed; kParallel is the word-packed kernel on
+/// the worker pool (util/parallel.hpp), bitwise identical to kSerial at
+/// every thread count (the determinism-by-construction contract documented
+/// in flooding.cpp and guarded by tests/protocols/flood_parallel_test.cpp
+/// and E30). kDefault
 /// defers to the process-wide default (set_default_flood_exec, or the
 /// BYZ_FLOOD_THREADS environment variable).
 enum class FloodMode : std::uint8_t { kDefault, kSerial, kParallel };
 
 /// The kernel knob threaded through RunControls, WarmConfig, MidRunConfig,
-/// and ChurnRunConfig. threads == 0 means "use the hardware concurrency";
-/// it is ignored under kSerial.
+/// and ChurnRunConfig. threads caps the kernel's participants (0 = the
+/// whole pool, util::pool_size()); it is ignored under kSerial.
 struct FloodExec {
   FloodMode mode = FloodMode::kDefault;
   std::uint32_t threads = 0;

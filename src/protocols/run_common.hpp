@@ -75,7 +75,7 @@ struct RunControls {
   /// digesting (the default).
   obs::RunDigester* digester = nullptr;
   /// Flood-kernel selection (flooding.hpp): kSerial is the scalar
-  /// reference, kParallel the word-packed OpenMP kernel, kDefault the
+  /// reference, kParallel the word-packed pool kernel, kDefault the
   /// process default (BYZ_FLOOD_THREADS / set_default_flood_exec). The
   /// kernels are bitwise-equivalent at every thread count, so this knob is
   /// DECISION-EXACT like the warm-tier pair. A parallel run also batches

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+
+#include "util/parallel.hpp"
 
 namespace byz::proto {
 
@@ -105,18 +106,15 @@ Verifier::Verifier(const graph::Overlay& overlay,
   (void)overlay.g();
   // Each row is a pure function of the overlay (and mask) written to a
   // disjoint slice, so the batched precompute is trivially deterministic.
-  const int nt = static_cast<int>(
-      threads > 0 ? threads
-                  : std::max(1u, std::thread::hardware_concurrency()));
-  (void)nt;
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt) if (nt > 1)
-  for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-    verifier_ball_row(
-        overlay, static_cast<NodeId>(v),
-        ball_counts_.data() + static_cast<std::size_t>(v) * k_);
-    chain_len_[static_cast<std::size_t>(v)] = verifier_chain_len(
-        overlay, byz_mask, static_cast<NodeId>(v), config_.chain_model);
-  }
+  util::parallel_for(n, threads, 64, [&](std::uint64_t first,
+                                         std::uint64_t last) {
+    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+      verifier_ball_row(overlay, v,
+                        ball_counts_.data() + static_cast<std::size_t>(v) * k_);
+      chain_len_[v] =
+          verifier_chain_len(overlay, byz_mask, v, config_.chain_model);
+    }
+  });
 }
 
 Verifier::Verifier(const graph::Overlay& overlay,

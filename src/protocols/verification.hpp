@@ -85,8 +85,8 @@ struct VerificationConfig {
 class Verifier {
  public:
   /// `threads` batches the per-node ball-row + chain-length precompute:
-  /// 1 = serial (the default and the reference behavior), 0 = hardware
-  /// concurrency, N = N workers. Every row is a pure function of the
+  /// 1 = serial (the default and the reference behavior), 0 = the whole
+  /// worker pool, N = at most N participants. Every row is a pure function of the
   /// overlay, so the table is identical for every thread count. With
   /// config.enabled == false no table is built (accept() reads none), so
   /// the overlay's G is never materialized on this verifier's account.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/digest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/refine.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::proto {
 
@@ -204,41 +204,39 @@ WarmRun run_counting_warm(const graph::Overlay& overlay,
     obs::Span rows_span("warm.rows");
     // A parallel kernel selection also batches the row refresh: every v
     // writes a disjoint row slice and the reuse decision is per-node, so
-    // the table — and via the reduction, the accounting — is identical at
-    // every thread count.
+    // the table — and the per-chunk reuse counts, summed in chunk order —
+    // are identical at every thread count.
     const FloodExec warm_exec = resolve_flood_exec(warm_cfg.flood);
-    const int rows_nt = static_cast<int>(
-        warm_exec.mode != FloodMode::kParallel
-            ? 1
-            : (warm_exec.threads > 0
-                   ? warm_exec.threads
-                   : std::max(1u, std::thread::hardware_concurrency())));
-    (void)rows_nt;
+    const unsigned rows_nt =
+        warm_exec.mode == FloodMode::kParallel ? warm_exec.threads : 1;
     (void)overlay.g();  // materialize G before the fan-out, not inside it
-    std::uint64_t reused = 0;
-    std::uint64_t recomputed = 0;
-#pragma omp parallel for schedule(dynamic, 64) num_threads(rows_nt) \
-    if (rows_nt > 1) reduction(+ : reused, recomputed)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
-      const NodeId s = dense_to_stable[v];
-      const bool reuse = !cold && s < state.row_valid.size() &&
-                         state.row_valid[s] != 0;
-      if (reuse) {
-        std::copy_n(state.ball_counts.data() + static_cast<std::size_t>(s) * k,
-                    k, rows.data() + static_cast<std::size_t>(v) * k);
-        chains[v] = state.chain_len[s];
-        ++reused;
-      } else {
-        verifier_ball_row(overlay, v,
-                          rows.data() + static_cast<std::size_t>(v) * k);
-        chains[v] = verifier_chain_len(overlay, byz_mask, v,
-                                       cfg.verification.chain_model);
-        ++recomputed;
+    constexpr std::uint64_t kGrain = 64;
+    std::vector<std::uint64_t> chunk_reused((n + kGrain - 1) / kGrain, 0);
+    util::parallel_for(n, rows_nt, kGrain, [&](std::uint64_t first,
+                                               std::uint64_t last) {
+      std::uint64_t reused = 0;
+      for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+        const NodeId s = dense_to_stable[v];
+        const bool reuse = !cold && s < state.row_valid.size() &&
+                           state.row_valid[s] != 0;
+        if (reuse) {
+          std::copy_n(
+              state.ball_counts.data() + static_cast<std::size_t>(s) * k, k,
+              rows.data() + static_cast<std::size_t>(v) * k);
+          chains[v] = state.chain_len[s];
+          ++reused;
+        } else {
+          verifier_ball_row(overlay, v,
+                            rows.data() + static_cast<std::size_t>(v) * k);
+          chains[v] = verifier_chain_len(overlay, byz_mask, v,
+                                         cfg.verification.chain_model);
+        }
       }
-    }
-    out.rows_reused = reused;
-    out.rows_recomputed = recomputed;
+      chunk_reused[first / kGrain] = reused;
+    });
+    out.rows_reused = 0;
+    for (const std::uint64_t r : chunk_reused) out.rows_reused += r;
+    out.rows_recomputed = n - out.rows_reused;
     rows_span.arg("reused", out.rows_reused)
         .arg("recomputed", out.rows_recomputed);
     obs_rows_reused.add(out.rows_reused);

@@ -1,10 +1,9 @@
 #include "sim/runner.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 
 #include "graph/categories.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::sim {
@@ -39,12 +38,11 @@ TrialResult run_trial(const TrialConfig& cfg) {
 std::vector<TrialResult> run_trials(const TrialConfig& cfg,
                                     std::uint32_t trials) {
   std::vector<TrialResult> results(trials);
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t t = 0; t < static_cast<std::int64_t>(trials); ++t) {
+  util::parallel_for(trials, 0, 1, [&](std::uint64_t t, std::uint64_t) {
     TrialConfig trial_cfg = cfg;
-    trial_cfg.seed = util::mix_seed(cfg.seed, static_cast<std::uint64_t>(t) + 1);
-    results[static_cast<std::size_t>(t)] = run_trial(trial_cfg);
-  }
+    trial_cfg.seed = util::mix_seed(cfg.seed, t + 1);
+    results[t] = run_trial(trial_cfg);
+  });
   return results;
 }
 

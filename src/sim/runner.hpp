@@ -1,6 +1,6 @@
 // Monte-Carlo trial runner: builds an independent overlay + Byzantine
-// placement + protocol run per trial, parallelized across trials with
-// OpenMP. Seeds are derived per trial with SplitMix64 so results are
+// placement + protocol run per trial, parallelized across trials on the
+// worker pool. Seeds are derived per trial with SplitMix64 so results are
 // bitwise independent of the thread count and schedule.
 #pragma once
 
@@ -36,7 +36,7 @@ struct TrialResult {
 [[nodiscard]] TrialResult run_trial(const TrialConfig& cfg);
 
 /// `trials` independent repetitions (per-trial seeds split from cfg.seed),
-/// OpenMP-parallel. Results are ordered by trial index.
+/// fanned out on the worker pool. Results are ordered by trial index.
 [[nodiscard]] std::vector<TrialResult> run_trials(const TrialConfig& cfg,
                                                   std::uint32_t trials);
 

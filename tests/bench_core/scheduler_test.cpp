@@ -52,7 +52,7 @@ TEST(TrialScheduler, PropagatesExceptions) {
 
 TEST(TrialScheduler, TrialSeedMatchesSimRunner) {
   // The scheduler's seed split must stay in lockstep with sim::run_trials
-  // so sweeps migrated onto it reproduce the OpenMP path bit-for-bit.
+  // so sweeps and the legacy runner reproduce each other bit-for-bit.
   EXPECT_EQ(TrialScheduler::trial_seed(123, 0), util::mix_seed(123, 1));
   EXPECT_EQ(TrialScheduler::trial_seed(123, 7), util::mix_seed(123, 8));
 }
@@ -84,8 +84,8 @@ TEST(TrialScheduler, DeterministicAcrossJobCounts) {
             sweep8.aggregate.frac_in_band.mean());
 }
 
-TEST(TrialScheduler, SweepMatchesOpenMpRunner) {
-  // sweep_trials (scheduler) and sim::run_trials (OpenMP) share the seed
+TEST(TrialScheduler, SweepMatchesSimRunner) {
+  // sweep_trials (scheduler) and sim::run_trials share the seed
   // derivation, so their per-trial outputs must agree exactly.
   sim::TrialConfig cfg;
   cfg.overlay.n = 256;

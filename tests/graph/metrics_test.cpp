@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/hamiltonian.hpp"
 #include "graph/small_world.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
@@ -113,6 +118,59 @@ TEST(AveragePathLength, SmallerOnDenserGraph) {
   const Graph dense = simplify(build_hamiltonian_graph(512, 12, rng));
   EXPECT_LT(average_path_length(dense, 16, 3),
             average_path_length(sparse, 16, 3));
+}
+
+/// The exact clustering mean summed left to right in node order: the bits
+/// average_clustering must reproduce.
+double ordered_clustering(const Graph& g) {
+  double sum = 0.0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    if (nbrs.size() < 2) continue;
+    std::uint64_t links = 0;
+    for (const NodeId u : nbrs) {
+      for (const NodeId w : g.neighbors(u)) {
+        links += std::binary_search(nbrs.begin(), nbrs.end(), w) ? 1 : 0;
+      }
+    }
+    const std::uint64_t deg = nbrs.size();
+    sum += static_cast<double>(links / 2) /
+           static_cast<double>(deg * (deg - 1) / 2);
+  }
+  return sum / static_cast<double>(g.num_nodes());
+}
+
+TEST(Metrics, SameBitsAtEveryParticipantCapAndAcrossCalls) {
+  // The parallel sums and the diameter max fold per-item values in a fixed
+  // order, so the results are bitwise reproducible (BENCH_e03.json's
+  // clustering_gain depends on it).
+  OverlayParams p;
+  p.n = 512;
+  p.d = 6;
+  p.seed = 17;
+  const Overlay o = Overlay::build(p);
+  const auto run = [&] {
+    std::vector<std::uint64_t> bits;
+    bits.push_back(std::bit_cast<std::uint64_t>(average_clustering(o.g(), 0, 1)));
+    bits.push_back(
+        std::bit_cast<std::uint64_t>(average_clustering(o.g(), 200, 7)));
+    bits.push_back(
+        std::bit_cast<std::uint64_t>(average_path_length(o.g(), 16, 5)));
+    bits.push_back(diameter(o.h_simple()).value);
+    return bits;
+  };
+  std::vector<std::uint64_t> serial;
+  {
+    const util::ParticipantCap cap(1);
+    serial = run();
+  }
+  EXPECT_EQ(serial[0], std::bit_cast<std::uint64_t>(ordered_clustering(o.g())));
+  for (const unsigned team : {1u, 2u, 4u}) {
+    for (int call = 0; call < 4; ++call) {
+      const util::ParticipantCap cap(team);
+      EXPECT_EQ(run(), serial) << "cap " << team << " call " << call;
+    }
+  }
 }
 
 }  // namespace

@@ -40,13 +40,11 @@ inline Overlay reference_build_from_h(const OverlayParams& params, Graph h) {
 
   // Pass 1: ball sizes (excluding the center) -> CSR offsets.
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(n) + 1, 0);
-#pragma omp parallel
   {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      bfs_ball(h_simple, static_cast<NodeId>(v), k, scratch, ball);
+    for (NodeId v = 0; v < n; ++v) {
+      bfs_ball(h_simple, v, k, scratch, ball);
       counts[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
     }
   }
@@ -55,13 +53,10 @@ inline Overlay reference_build_from_h(const OverlayParams& params, Graph h) {
   // Pass 2: fill node/dist arrays, sorted by neighbor id per node.
   std::vector<NodeId> nodes(counts.back());
   std::vector<std::uint8_t> dists(counts.back());
-#pragma omp parallel
   {
     BfsScratch scratch;
     std::vector<BallEntry> ball;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const auto v = static_cast<NodeId>(sv);
+    for (NodeId v = 0; v < n; ++v) {
       bfs_ball(h_simple, v, k, scratch, ball);
       std::sort(ball.begin() + 1, ball.end(),
                 [](const BallEntry& a, const BallEntry& b) {

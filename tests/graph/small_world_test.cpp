@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cmath>
 #include <latch>
 #include <thread>
@@ -14,6 +12,7 @@
 #include "graph/hamiltonian.hpp"
 #include "incremental/engine.hpp"
 #include "reference_overlay.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace byz::graph {
@@ -177,13 +176,9 @@ TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
   // The in-place, radix-sorted build must equal the old three-copy,
   // comparison-sorted build bitwise: offsets, ids, order and distances.
   // The sizes straddle the radix digit boundaries (8 and 11 id bits,
-  // bitset words at 64) and the OpenMP team size must not matter.
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-  const std::vector<int> teams{1, 4};
-#else
-  const std::vector<int> teams{1};
-#endif
+  // bitset words at 64) and the worker pool's participant cap must not
+  // matter.
+  const std::vector<unsigned> teams{1, 4};
   std::uint32_t mismatches = 0;
   std::uint32_t checked = 0;
   for (const NodeId n : {1u, 2u, 3u, 5u, 63u, 64u, 65u, 255u, 256u, 257u,
@@ -199,10 +194,8 @@ TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
           p.k = k;
           p.seed = seed;
           const Overlay ref = reference_build_from_h(p, sample_h(n, d, seed));
-          for (const int team : teams) {
-#ifdef _OPENMP
-            omp_set_num_threads(team);
-#endif
+          for (const unsigned team : teams) {
+            const util::ParticipantCap cap(team);
             const Overlay got = Overlay::build_from_h(p, sample_h(n, d, seed));
             ++checked;
             // G is built lazily, by overlays_identical's first read, at
@@ -220,9 +213,6 @@ TEST(SmallWorld, BuildMatchesReferenceAcrossGridAndTeamSizes) {
       }
     }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
   EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(checked, 14u * 7u * 2u * teams.size());
 }
@@ -251,9 +241,9 @@ TEST(SmallWorld, ConcurrentFirstReadsOfASharedOverlayBuildGOnce) {
   // The overlay cache hands one const Overlay to concurrent trials, so the
   // first reads of G race by design. Four threads released together must
   // all see the same G, equal to an eagerly assembled one. At this size
-  // the build itself fans out (OpenMP builds) from whichever thread wins.
+  // the build itself fans out on the pool from whichever thread wins.
   OverlayParams p;
-  p.n = Overlay::kParallelBuildMinNodes;
+  p.n = 2048;
   p.d = 6;
   p.seed = 21;
   const Overlay eager = reference_build_from_h(p, sample_h(p.n, p.d, p.seed));

@@ -72,7 +72,7 @@ TEST(RunTrials, IndependentSeedsDiffer) {
 }
 
 TEST(RunTrials, ThreadCountInvariant) {
-  // Per-trial seed derivation makes results independent of OpenMP
+  // Per-trial seed derivation makes results independent of the pool's
   // scheduling; re-running must reproduce results exactly.
   TrialConfig cfg;
   cfg.overlay.n = 128;
