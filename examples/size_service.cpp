@@ -54,9 +54,9 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <string_view>
 
 #include "byzcount.hpp"
+#include "overlay_args.hpp"
 
 namespace {
 
@@ -127,35 +127,20 @@ bool backend_name_ok(const std::string& flag, const std::string& name) {
 /// Range-checks the numeric flags before any of them is cast: --n=-5 would
 /// otherwise wrap to ~4e9 nodes, --n=0 or an odd --d would reach a throw
 /// deep inside the overlay build, --trials=0 would print an all-zero
-/// table and --delta=2 would run silently with no Byzantine nodes.
+/// table and --delta=2 would run silently with no Byzantine nodes. Thread
+/// counts are capped so a typo cannot ask for millions of threads.
 /// Prints the first violation and returns false.
 bool numeric_flags_ok(const byz::util::ArgParser& args) {
-  struct Range {
-    const char* flag;
-    std::int64_t lo;
-    std::int64_t hi;
-    const char* what;
-  };
-  // k = ceil(d/3) must stay below the 8-bit kNotInBall distance sentinel;
-  // thread counts are capped so a typo cannot ask for millions of threads.
-  constexpr std::int64_t kMaxId = 0xFFFFFFFF;
-  const Range ranges[] = {
-      {"n", 3, kMaxId, "a network size"},
-      {"d", 4, 762, "an even H-degree"},
-      {"trials", 1, kMaxId, "a trial count"},
-      {"epochs", 1, kMaxId, "an epoch count"},
-      {"jobs", 0, 1024, "a worker count (0 = one per CPU)"},
-      {"flood-threads", 0, 1024, "a thread count (0 = serial)"},
-  };
-  for (const auto& r : ranges) {
-    const std::int64_t value = args.integer(r.flag);
-    const bool odd_degree = std::string_view(r.flag) == "d" && value % 2 != 0;
-    if (value < r.lo || value > r.hi || odd_degree) {
-      std::cerr << "size_service: --" << r.flag << " must be " << r.what
-                << " in [" << r.lo << ", " << r.hi << "] (got " << value
-                << ")\n";
-      return false;
-    }
+  constexpr std::uint32_t kMaxCount = 0xFFFFFFFF;
+  try {
+    (void)byz::examples::read_overlay_params(args);
+    (void)args.integer_in<std::uint32_t>("trials", 1, kMaxCount);
+    (void)args.integer_in<std::uint32_t>("epochs", 1, kMaxCount);
+    (void)args.integer_in<unsigned>("jobs", 0, 1024);
+    (void)args.integer_in<std::uint32_t>("flood-threads", 0, 1024);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "size_service: " << e.what() << "\n";
+    return false;
   }
   const double delta = args.real("delta");
   if (!(delta >= 0.0 && delta <= 1.0)) {

@@ -7,6 +7,7 @@
 #include "protocols/schedule.hpp"
 #include "protocols/verification.hpp"
 #include "sim/engine.hpp"
+#include "util/parallel.hpp"
 
 namespace byz::dynamics {
 
@@ -335,86 +336,54 @@ void LiveOverlayFeed::rebuild_adjacency(NodeId run_id) {
   auto& row = adj_[run_id];
   row.clear();
   if (stable == graph::kInvalidNode || !overlay_->is_alive(stable)) return;
-  for (std::uint32_t c = 0; c < overlay_->num_cycles(); ++c) {
-    for (const NodeId s :
-         {overlay_->successor(c, stable), overlay_->predecessor(c, stable)}) {
-      const NodeId r = stable_to_run_[s];
-      if (r != graph::kInvalidNode && r != run_id) row.push_back(r);
-    }
-  }
+  overlay_->ring_neighbors()(stable, [&](NodeId s) {
+    const NodeId r = stable_to_run_[s];
+    if (r != graph::kInvalidNode && r != run_id) row.push_back(r);
+  });
   std::sort(row.begin(), row.end());
   row.erase(std::unique(row.begin(), row.end()), row.end());
 }
 
-void LiveOverlayFeed::recompute_row(NodeId run_id) {
-  // Bounded BFS on the live run-id adjacency: cumulative |B_H(v, r)| for
-  // r = 1..k, and the usable Byzantine chain under the configured model —
-  // the live-topology equivalents of verifier_ball_row/verifier_chain_len.
-  if (bfs_mark_.size() < nb_) bfs_mark_.assign(nb_, 0);
-  bfs_queue_.clear();
-  bfs_queue_.push_back(run_id);
-  bfs_mark_[run_id] = 1;
-  std::uint32_t cum = 1;
-  std::uint32_t byz_within_k1 = 0;
-  std::size_t head = 0;
-  for (std::uint32_t depth = 1; depth <= k_; ++depth) {
-    const std::size_t level_end = bfs_queue_.size();
-    while (head < level_end) {
-      const NodeId u = bfs_queue_[head++];
-      for (const NodeId w : adj_[u]) {
-        if (bfs_mark_[w] != 0 || alive_[w] == 0) continue;
-        bfs_mark_[w] = 1;
-        bfs_queue_.push_back(w);
-        ++cum;
-        if (depth <= k_ - 1 && run_byz_[w]) ++byz_within_k1;
-      }
+void LiveOverlayFeed::recompute_row(NodeId run_id,
+                                    std::vector<graph::BallEntry>& row) {
+  // The live-topology equivalents of verifier_ball_row/verifier_chain_len:
+  // run_id's k-ball over the alive run-id adjacency, folded by the same
+  // helpers.
+  const auto live = [this](NodeId u, auto&& visit) {
+    for (const NodeId w : adj_[u]) {
+      if (alive_[w] != 0) visit(w);
     }
-    rows_[static_cast<std::size_t>(run_id) * k_ + (depth - 1)] = cum;
+  };
+  const auto is_byz = [this](NodeId w) { return run_byz_[w]; };
+  graph::ball({&run_id, 1}, k_, nb_, live, row);
+  const auto entries = [&row](auto&& visit) {
+    for (const auto& e : row) visit(e.node, e.dist);
+  };
+  proto::ball_counts_row(k_, entries,
+                         rows_.data() + static_cast<std::size_t>(run_id) * k_);
+  if (!run_byz_[run_id]) {
+    chains_[run_id] = 0;
+  } else if (verification_.chain_model == proto::ChainModel::kRewired) {
+    chains_[run_id] = proto::rewired_chain_len(k_, entries, is_byz);
+  } else {  // at most k + 1 <= 16
+    chains_[run_id] = static_cast<std::uint8_t>(
+        proto::byz_chain_length(run_id, k_ + 1, live, is_byz));
   }
-  for (const NodeId u : bfs_queue_) bfs_mark_[u] = 0;
-
-  std::uint8_t chain = 0;
-  if (run_byz_[run_id]) {
-    if (verification_.chain_model == proto::ChainModel::kRewired) {
-      chain = static_cast<std::uint8_t>(
-          std::min<std::uint32_t>(1 + byz_within_k1, 255));
-    } else {
-      // Longest simple Byzantine-only path ending here, capped at k+1 —
-      // iterative DFS over the live adjacency.
-      struct Frame {
-        NodeId v;
-        std::size_t next = 0;
-      };
-      std::vector<Frame> stack{{run_id}};
-      std::vector<std::uint8_t> on_path(nb_, 0);
-      on_path[run_id] = 1;
-      std::uint32_t best = 1;
-      const std::uint32_t cap = k_ + 1;
-      while (!stack.empty() && best < cap) {
-        Frame& f = stack.back();
-        if (f.next >= adj_[f.v].size()) {
-          on_path[f.v] = 0;
-          stack.pop_back();
-          continue;
-        }
-        const NodeId w = adj_[f.v][f.next++];
-        if (alive_[w] == 0 || !run_byz_[w] || on_path[w] != 0) continue;
-        on_path[w] = 1;
-        stack.push_back({w});
-        best = std::max(best, static_cast<std::uint32_t>(stack.size()));
-      }
-      chain = static_cast<std::uint8_t>(std::min<std::uint32_t>(best, 255));
-    }
-  }
-  chains_[run_id] = chain;
 }
 
 void LiveOverlayFeed::rebuild_verifier() {
-  for (NodeId v = 0; v < nb_; ++v) {
-    if (alive_[v] == 0) continue;
-    recompute_row(v);
-    ++stats_.rows_recomputed;
-  }
+  // Every row is a pure function of the live topology written to its own
+  // slice, so the fan-out is deterministic.
+  const std::uint64_t grain = util::balanced_grain(nb_, 0);
+  util::parallel_for(nb_, 0, grain, [&](std::uint64_t first,
+                                        std::uint64_t last) {
+    std::vector<graph::BallEntry> row;
+    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
+      if (alive_[v] != 0) recompute_row(v, row);
+    }
+  });
+  stats_.rows_recomputed += static_cast<std::uint64_t>(
+      std::count(alive_.begin(), alive_.end(), std::uint8_t{1}));
   verifier_.emplace(snap_->overlay, run_byz_, verification_, rows_,
                     chains_);
   ++stats_.verifier_refreshes;

@@ -73,6 +73,7 @@
 #include "dynamics/churn_schedule.hpp"
 #include "dynamics/churn_trace.hpp"
 #include "dynamics/mutable_overlay.hpp"
+#include "graph/bfs.hpp"
 #include "obs/digest.hpp"
 #include "protocols/estimator.hpp"
 #include "protocols/fastpath.hpp"
@@ -241,7 +242,7 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   void apply_join(bool byzantine);
   bool apply_leave();  ///< false = deferred (membership floor)
   void rebuild_adjacency(graph::NodeId run_id);
-  void recompute_row(graph::NodeId run_id);
+  void recompute_row(graph::NodeId run_id, std::vector<graph::BallEntry>& row);
   void rebuild_verifier();
 
   MutableOverlay* overlay_;
@@ -281,9 +282,6 @@ class LiveOverlayFeed final : public proto::MidRunHooks {
   std::vector<std::uint32_t> rows_;      ///< nb_ * k_ cumulative ball counts
   std::vector<std::uint8_t> chains_;     ///< nb_ usable-chain lengths
   std::optional<proto::Verifier> verifier_;
-  // BFS scratch for live ball rows.
-  std::vector<std::uint8_t> bfs_mark_;
-  std::vector<graph::NodeId> bfs_queue_;
 };
 
 struct MidRunOutcome {

@@ -112,6 +112,17 @@ class MutableOverlay {
     return pred_[cycle][v];
   }
 
+  /// graph::ball()'s neighbor functor over the rings: v's successor, then
+  /// its predecessor, in each cycle (H's adjacency, repeats included).
+  [[nodiscard]] auto ring_neighbors() const {
+    return [this](NodeId v, auto&& visit) {
+      for (std::uint32_t c = 0; c < num_cycles(); ++c) {
+        visit(succ_[c][v]);
+        visit(pred_[c][v]);
+      }
+    };
+  }
+
   /// Uniformly random alive node (deterministic given the op history).
   [[nodiscard]] NodeId random_alive(util::Xoshiro256& rng) const {
     return alive_list_[rng.below(alive_count_)];

@@ -8,59 +8,22 @@
 
 namespace byz::graph {
 
-void BfsScratch::ensure(std::size_t n) {
-  if (stamp_.size() < n) {
-    stamp_.assign(n, 0);
+BfsScratch& BfsScratch::local() noexcept {
+  thread_local BfsScratch scratch;
+  return scratch;
+}
+
+void BfsScratch::begin(std::size_t id_bound) {
+  if (stamp_.size() < id_bound) {
+    stamp_.assign(id_bound, 0);
     epoch_ = 0;
   }
+  ++epoch_;
 }
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src,
                                          std::uint32_t max_depth) {
-  if (src >= g.num_nodes()) throw std::out_of_range("bfs_distances: bad src");
-  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  std::vector<NodeId> frontier{src};
-  dist[src] = 0;
-  std::uint32_t depth = 0;
-  std::vector<NodeId> next;
-  while (!frontier.empty() && depth < max_depth) {
-    next.clear();
-    ++depth;
-    for (const NodeId u : frontier) {
-      for (const NodeId w : g.neighbors(u)) {
-        if (dist[w] == kUnreachable) {
-          dist[w] = depth;
-          next.push_back(w);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  return dist;
-}
-
-void bfs_ball(const Graph& g, NodeId src, std::uint32_t radius,
-              BfsScratch& scratch, std::vector<BallEntry>& out) {
-  out.clear();
-  scratch.ensure(g.num_nodes());
-  scratch.new_epoch();
-  scratch.mark(src);
-  out.push_back({src, 0});
-  std::size_t level_begin = 0;
-  for (std::uint32_t depth = 1; depth <= radius; ++depth) {
-    const std::size_t level_end = out.size();
-    if (level_begin == level_end) break;  // ball stopped growing
-    for (std::size_t i = level_begin; i < level_end; ++i) {
-      const NodeId u = out[i].node;
-      for (const NodeId w : g.neighbors(u)) {
-        if (!scratch.visited(w)) {
-          scratch.mark(w);
-          out.push_back({w, static_cast<std::uint8_t>(depth)});
-        }
-      }
-    }
-    level_begin = level_end;
-  }
+  return multi_source_distances(g, {&src, 1}, max_depth);
 }
 
 void radix_sort_ball_keys(std::span<std::uint64_t> keys, NodeId max_node,

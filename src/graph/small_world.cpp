@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -31,45 +32,16 @@ namespace {
 void build_k_balls(const Graph& h_simple, std::uint32_t k, Graph& g,
                    std::vector<std::uint8_t>& g_dist) {
   const NodeId n = h_simple.num_nodes();
-  const std::uint64_t grain = util::balanced_grain(n, 0);
-
-  // Pass 1: ball sizes (excluding the center) -> CSR offsets.
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
   Graph::OffsetVec offsets(static_cast<std::size_t>(n) + 1, 0);
-  util::parallel_for(n, 0, grain, [&](std::uint64_t first,
-                                      std::uint64_t last) {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
-      bfs_ball(h_simple, v, k, scratch, ball);
-      offsets[static_cast<std::size_t>(v) + 1] = ball.size() - 1;  // minus self
-    }
-  });
+  ball_sizes(all, k, n, csr_neighbors(h_simple), offsets.data() + 1);
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  // Pass 2: each ball, radix-sorted by neighbor id (the Graph invariant
-  // that h_dist binary-searches), lands in its own row of the final arrays.
+  // Rows sorted by neighbor id: the Graph invariant h_dist binary-searches.
   Graph::NeighborVec nodes(offsets.back());
   std::vector<std::uint8_t> dists(offsets.back());
-  util::parallel_for(n, 0, grain, [&](std::uint64_t first,
-                                      std::uint64_t last) {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> tmp;
-    for (auto v = static_cast<NodeId>(first); v < last; ++v) {
-      bfs_ball(h_simple, v, k, scratch, ball);
-      keys.clear();
-      for (std::size_t i = 1; i < ball.size(); ++i) {
-        keys.push_back(pack_ball_key(ball[i].node, ball[i].dist));
-      }
-      radix_sort_ball_keys(keys, n - 1, tmp);
-      const std::uint64_t row = offsets[v];
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        nodes[row + i] = static_cast<NodeId>(keys[i] >> 8);
-        dists[row + i] = static_cast<std::uint8_t>(keys[i]);
-      }
-    }
-  });
+  write_sorted_balls(all, k, n, csr_neighbors(h_simple), offsets.data(),
+                     nodes.data(), dists.data());
   g = Graph::from_csr(std::move(offsets), std::move(nodes));
   g_dist = std::move(dists);
 }

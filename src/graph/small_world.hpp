@@ -59,12 +59,13 @@ class Overlay {
   /// params.seed/generation are recorded as provenance, not re-sampled.
   ///
   /// Cost of G's build (span `overlay.materialize_g`, on the thread that
-  /// first reads G): two bounded BFS passes over H (ball sizes, then the
-  /// balls), each fanned out on the worker pool (util/parallel.hpp); each
-  /// ball is radix-sorted by id (no comparison sort) and written straight
-  /// into its row of G's final CSR and distance arrays. G exists once:
-  /// peak memory is the finished overlay, O(n * (d-1)^k), plus a few
-  /// ball-sized buffers per thread.
+  /// first reads G): two passes of the ball kernel (graph::ball, bfs.hpp)
+  /// over h_simple — ball sizes, then the balls — each fanned out on the
+  /// worker pool (util/parallel.hpp); each ball is radix-sorted by id (no
+  /// comparison sort) and written straight into its row of G's final CSR
+  /// and distance arrays. G exists once: peak memory is the finished
+  /// overlay, O(n * (d-1)^k), plus per thread one O(n) visited array (the
+  /// kernel's, kept across calls) and a few ball-sized buffers.
   [[nodiscard]] static Overlay build_from_h(const OverlayParams& params,
                                             Graph h);
 

@@ -33,35 +33,18 @@ namespace {
 /// the tree size is sufficient — but we traverse the multigraph directly
 /// and count distinct visits, which is the same thing.
 bool node_is_tree_like(const Graph& h_multi, NodeId w, std::uint32_t radius,
-                       std::uint64_t want, BfsScratch& scratch,
-                       std::vector<BallEntry>& ball) {
-  bfs_ball(h_multi, w, radius, scratch, ball);
-  if (ball.size() != want) return false;
-  // Ball size matches the tree; any extra edge inside the ball would have
-  // caused a repeat visit and a smaller ball, EXCEPT edges between two
-  // last-level nodes or parallel edges re-hitting a visited node — those
-  // also produce repeats during expansion, which bfs_ball skips without
-  // shrinking the ball. Verify explicitly: total multigraph edge endpoints
-  // inside the ball must equal the tree's (nodes - 1) * 2 plus the edges
-  // leaving the last level.
+                       std::uint64_t want, std::vector<BallEntry>& row) {
+  ball({&w, 1}, radius, h_multi.num_nodes(), csr_neighbors(h_multi), row);
+  if (row.size() != want) return false;
+  // Every neighbor of an interior node (distance < radius) lies in the
+  // ball, so its multigraph edge endpoints there total the interior
+  // degrees; a perfect tree has (#interior nodes) * d of them.
   std::uint64_t internal_endpoints = 0;
-  scratch.new_epoch();
-  for (const auto& e : ball) scratch.mark(e.node);
-  for (const auto& e : ball) {
-    if (e.dist == radius) continue;  // only interior expansions counted
-    for (const NodeId nb : h_multi.neighbors(e.node)) {
-      if (scratch.visited(nb)) ++internal_endpoints;
-    }
-  }
-  // In a perfect tree every interior node has all d slots pointing at ball
-  // members (parent + children), except the root contributes d and each
-  // interior level likewise; the expected count is:
-  //   sum over interior nodes of (#neighbors inside ball)
-  // For the tree: root d; each interior non-root node 1 (parent) + (d-1)
-  // children = d. So expected = (#interior nodes) * d.
   std::uint64_t interior = 0;
-  for (const auto& e : ball) {
-    if (e.dist < radius) ++interior;
+  for (const auto& e : row) {
+    if (e.dist == radius) continue;
+    internal_endpoints += h_multi.degree(e.node);
+    ++interior;
   }
   return internal_endpoints == interior * static_cast<std::uint64_t>(
                                               h_multi.degree(w));
@@ -80,10 +63,9 @@ TreeLikeResult classify_tree_like(const Graph& h_multi, std::uint32_t d,
   std::vector<std::uint8_t> ltl(n, 0);
   util::parallel_for(n, 0, util::balanced_grain(n, 0), [&](std::uint64_t first,
                                                           std::uint64_t last) {
-    BfsScratch scratch;
-    std::vector<BallEntry> ball;
+    std::vector<BallEntry> row;
     for (auto v = static_cast<NodeId>(first); v < last; ++v) {
-      ltl[v] = node_is_tree_like(h_multi, v, radius, want, scratch, ball);
+      ltl[v] = node_is_tree_like(h_multi, v, radius, want, row);
     }
   });
   result.is_tree_like.assign(ltl.begin(), ltl.end());

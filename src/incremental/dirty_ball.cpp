@@ -21,44 +21,22 @@ void DirtyBallTracker::mark(NodeId stable) {
 
 void DirtyBallTracker::on_splice(std::span<const NodeId> touched) {
   ++splices_;
-  const NodeId bound = overlay_->id_bound();
-  if (stamp_.size() < bound) stamp_.resize(bound, 0);
-  ++epoch_;
-
-  // Multi-source BFS to depth k-1 in the post-op ring structure (the
+  // Multi-source ball of radius k-1 in the post-op ring structure (the
   // witness-path prefix bound — see the header). Sources are the alive
   // touched endpoints; a departed node in `touched` is marked dirty
   // directly (so a consumer can drop its stored ball) but cannot seed the
   // walk — it has no edges left.
-  frontier_.clear();
+  std::vector<NodeId> sources;
   for (const NodeId t : touched) {
-    if (!overlay_->is_alive(t)) {
+    if (overlay_->is_alive(t)) {
+      sources.push_back(t);
+    } else {
       mark(t);
-      continue;
-    }
-    if (stamp_[t] != epoch_) {
-      stamp_[t] = epoch_;
-      mark(t);
-      frontier_.push_back(t);
     }
   }
-  const std::uint32_t cycles = overlay_->num_cycles();
-  for (std::uint32_t depth = 1; depth < k_ && !frontier_.empty(); ++depth) {
-    next_.clear();
-    for (const NodeId u : frontier_) {
-      for (std::uint32_t c = 0; c < cycles; ++c) {
-        for (const NodeId w :
-             {overlay_->successor(c, u), overlay_->predecessor(c, u)}) {
-          if (stamp_[w] != epoch_) {
-            stamp_[w] = epoch_;
-            mark(w);
-            next_.push_back(w);
-          }
-        }
-      }
-    }
-    frontier_.swap(next_);
-  }
+  graph::ball(sources, k_ - 1, overlay_->id_bound(),
+              overlay_->ring_neighbors(), ball_);
+  for (const auto& e : ball_) mark(e.node);
 }
 
 void DirtyBallTracker::mark_all_dirty() {

@@ -6,11 +6,11 @@
 // node to the FIRST changed edge yields a prefix made of unchanged edges —
 // a prefix that exists both before and after the op — ending at a touched
 // endpoint at distance <= k-1 (the changed edge itself occupies one hop).
-// Hence one multi-source BFS of depth k-1 from the touched endpoints, run
-// in the post-op ring structure, marks a superset of every node whose ball
-// changed. (A departed node is unreachable without crossing one of its own
-// removed edges, so its live ring neighbors — which are all touched —
-// stand in for it.)
+// Hence one multi-source graph::ball of radius k-1 from the touched
+// endpoints, run in the post-op ring structure, marks a superset of every
+// node whose ball changed. (A departed node is unreachable without
+// crossing one of its own removed edges, so its live ring neighbors —
+// which are all touched — stand in for it.)
 //
 // DirtyBallTracker subscribes to MutableOverlay splices and accumulates
 // that superset as a stable-id bitmap: the per-op cost is O(|B_H(touched,
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "dynamics/mutable_overlay.hpp"
+#include "graph/bfs.hpp"
 
 namespace byz::incremental {
 
@@ -73,11 +74,7 @@ class DirtyBallTracker final : public MutableOverlay::SpliceObserver {
   std::vector<std::uint8_t> dirty_;  ///< by stable id
   std::uint64_t dirty_count_ = 0;
   std::uint64_t splices_ = 0;
-  // Stamp-based BFS scratch (avoids O(id_bound) clears per splice).
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t epoch_ = 0;
-  std::vector<NodeId> frontier_;
-  std::vector<NodeId> next_;
+  std::vector<graph::BallEntry> ball_;  ///< reused per splice
 };
 
 }  // namespace byz::incremental

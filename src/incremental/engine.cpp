@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/bfs.hpp"
 #include "graph/small_world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,41 +49,6 @@ bool overlays_identical(const graph::Overlay& a, const graph::Overlay& b) {
 IncrementalEngine::IncrementalEngine(MutableOverlay& overlay, Config config)
     : overlay_(&overlay), config_(config), tracker_(overlay) {}
 
-void IncrementalEngine::recompute_ball(NodeId v, graph::BfsScratch& scratch,
-                                       std::vector<graph::BallEntry>& tmp) {
-  const auto& ov = *overlay_;
-  scratch.ensure(ov.id_bound());
-  scratch.new_epoch();
-  scratch.mark(v);
-  tmp.clear();
-  tmp.push_back({v, 0});
-  const std::uint32_t cycles = ov.num_cycles();
-  const std::uint32_t k = ov.k();
-  std::size_t level_begin = 0;
-  for (std::uint32_t depth = 1; depth <= k; ++depth) {
-    const std::size_t level_end = tmp.size();
-    if (level_begin == level_end) break;  // ball stopped growing
-    for (std::size_t i = level_begin; i < level_end; ++i) {
-      const NodeId u = tmp[i].node;
-      for (std::uint32_t c = 0; c < cycles; ++c) {
-        for (const NodeId w : {ov.successor(c, u), ov.predecessor(c, u)}) {
-          if (!scratch.visited(w)) {
-            scratch.mark(w);
-            tmp.push_back({w, static_cast<std::uint8_t>(depth)});
-          }
-        }
-      }
-    }
-    level_begin = level_end;
-  }
-  auto& ball = balls_[v];
-  ball.assign(tmp.begin() + 1, tmp.end());  // self excluded, like G rows
-  std::sort(ball.begin(), ball.end(),
-            [](const graph::BallEntry& a, const graph::BallEntry& b) {
-              return a.node < b.node;
-            });
-}
-
 MutableOverlay::Snapshot IncrementalEngine::snapshot() {
   static const obs::Counter obs_recomputed("incremental.balls_recomputed");
   static const obs::Counter obs_reused("incremental.balls_reused");
@@ -95,7 +61,6 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
 
   std::vector<NodeId> dense(bound, graph::kInvalidNode);
   for (NodeId i = 0; i < n; ++i) dense[snap.dense_to_stable[i]] = i;
-  if (balls_.size() < bound) balls_.resize(bound);
 
   // What really changed since the last snapshot (warm-start consumers read
   // this even when incremental reuse is off).
@@ -108,34 +73,35 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
   }
 
   const bool full = !has_snapshot_ || !config_.incremental;
+  if (full) ++stats_.full_rebuilds;
+  const auto fresh = [&](NodeId v) { return full || tracker_.is_dirty(v); };
   std::vector<NodeId> recompute;
-  if (full) {
-    recompute = snap.dense_to_stable;
-    ++stats_.full_rebuilds;
-  } else {
-    for (const NodeId v : snap.dense_to_stable) {
-      if (tracker_.is_dirty(v)) recompute.push_back(v);
-    }
+  for (const NodeId v : snap.dense_to_stable) {
+    if (fresh(v)) recompute.push_back(v);
   }
 
+  // This snapshot's rows, packed in stable-id order: a fresh ball for each
+  // recomputed node, the previous row for every other alive node, nothing
+  // for departed ids. Dense order is increasing stable order, so these
+  // offsets, read at the alive ids, are G's.
+  std::vector<std::uint64_t> off(static_cast<std::size_t>(bound) + 1, 0);
+  std::vector<NodeId> ids;
+  std::vector<std::uint8_t> dists;
   {
     obs::Span bfs_span("incremental.dirty_bfs");
     bfs_span.arg("recompute", recompute.size()).arg("alive", n);
-    util::parallel_for(
-        recompute.size(), 0, util::balanced_grain(recompute.size(), 0),
-        [&](std::uint64_t first, std::uint64_t last) {
-          graph::BfsScratch scratch;
-          std::vector<graph::BallEntry> tmp;
-          for (std::uint64_t i = first; i < last; ++i) {
-            recompute_ball(recompute[i], scratch, tmp);
-          }
-        });
-  }
-  // Departed nodes keep no ball (their stable ids are never reused).
-  for (NodeId v = 0; v < bound; ++v) {
-    if (!ov.is_alive(v) && !balls_[v].empty()) {
-      std::vector<graph::BallEntry>().swap(balls_[v]);
+    graph::ball_sizes(recompute, ov.k(), bound, ov.ring_neighbors(),
+                      off.data() + 1);
+    for (const NodeId v : snap.dense_to_stable) {
+      if (!fresh(v) && v + 1 < ball_off_.size()) {
+        off[v + 1] = ball_off_[v + 1] - ball_off_[v];
+      }
     }
+    for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
+    ids.resize(off.back());
+    dists.resize(off.back());
+    graph::write_sorted_balls(recompute, ov.k(), bound, ov.ring_neighbors(),
+                              off.data(), ids.data(), dists.data());
   }
   stats_.last_recomputed = recompute.size();
   stats_.last_reused = n - recompute.size();
@@ -153,7 +119,6 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
     // matches the multiset sort Graph::from_edges performs in the full
     // rebuild.
     const std::uint32_t d = ov.d();
-    const std::uint32_t cycles = ov.num_cycles();
     graph::Graph::OffsetVec h_off(static_cast<std::size_t>(n) + 1);
     for (NodeId i = 0; i <= n; ++i) {
       h_off[i] = static_cast<std::uint64_t>(i) * d;
@@ -165,34 +130,46 @@ MutableOverlay::Snapshot IncrementalEngine::snapshot() {
       for (auto i = static_cast<NodeId>(first); i < last; ++i) {
         const NodeId v = snap.dense_to_stable[i];
         NodeId* row = h_nbrs.data() + static_cast<std::uint64_t>(i) * d;
-        for (std::uint32_t c = 0; c < cycles; ++c) {
-          row[2 * c] = dense[ov.successor(c, v)];
-          row[2 * c + 1] = dense[ov.predecessor(c, v)];
-        }
+        NodeId* slot = row;
+        ov.ring_neighbors()(v, [&](NodeId w) { *slot++ = dense[w]; });
         std::sort(row, row + d);
       }
     });
 
-    // G: prefix-sum the stored ball sizes, then translate stable→dense.
-    // The mapping is monotone (dense order IS increasing stable order), so
-    // the stable-sorted balls land dense-sorted without re-sorting.
-    graph::Graph::OffsetVec g_off(static_cast<std::size_t>(n) + 1, 0);
-    for (NodeId i = 0; i < n; ++i) {
-      g_off[i + 1] = g_off[i] + balls_[snap.dense_to_stable[i]].size();
-    }
-    graph::Graph::NeighborVec g_nbrs(g_off[n]);
-    std::vector<std::uint8_t> g_dist(g_off[n]);
+    // G: clean rows carry over from the previous snapshot's rows, then
+    // every row is translated stable→dense. Departed rows are empty and
+    // dense order is increasing stable order, so the packed rows are laid
+    // out as G's: the same offsets, and sorted rows stay sorted.
     util::parallel_for(n, 0, grain, [&](std::uint64_t first,
                                         std::uint64_t last) {
       for (auto i = static_cast<NodeId>(first); i < last; ++i) {
-        const auto& ball = balls_[snap.dense_to_stable[i]];
-        const std::uint64_t base = g_off[i];
-        for (std::size_t j = 0; j < ball.size(); ++j) {
-          g_nbrs[base + j] = dense[ball[j].node];
-          g_dist[base + j] = ball[j].dist;
-        }
+        const NodeId v = snap.dense_to_stable[i];
+        const std::uint64_t size = off[v + 1] - off[v];
+        if (fresh(v) || size == 0) continue;
+        std::copy_n(ball_ids_.begin() + ball_off_[v], size,
+                    ids.begin() + off[v]);
+        std::copy_n(ball_dists_.begin() + ball_off_[v], size,
+                    dists.begin() + off[v]);
       }
     });
+    ball_off_ = std::move(off);
+    ball_ids_ = std::move(ids);
+    ball_dists_ = std::move(dists);
+    graph::Graph::OffsetVec g_off(static_cast<std::size_t>(n) + 1);
+    for (NodeId i = 0; i < n; ++i) {
+      g_off[i] = ball_off_[snap.dense_to_stable[i]];
+    }
+    g_off[n] = ball_off_.back();
+    const std::uint64_t slots = ball_ids_.size();
+    graph::Graph::NeighborVec g_nbrs(slots);
+    const std::uint64_t slot_grain = util::balanced_grain(slots, 0);
+    util::parallel_for(slots, 0, slot_grain, [&](std::uint64_t first,
+                                                 std::uint64_t last) {
+      for (std::uint64_t s = first; s < last; ++s) {
+        g_nbrs[s] = dense[ball_ids_[s]];
+      }
+    });
+    std::vector<std::uint8_t> g_dist(ball_dists_);
 
     graph::OverlayParams params;
     params.n = n;

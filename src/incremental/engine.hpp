@@ -1,16 +1,16 @@
 // Incremental snapshot engine: the epoch-to-epoch sublinear hot path.
 //
-// MutableOverlay::snapshot() rebuilds every BFS k-ball from scratch, so an
+// MutableOverlay::snapshot() rebuilds every k-ball from scratch, so an
 // epoch over a network where 0.1% of the nodes churned costs the same as a
-// cold run. IncrementalEngine keeps the k-balls of the PREVIOUS snapshot in
-// stable-id space, listens to splices through a DirtyBallTracker, and per
-// snapshot
-//   * re-runs the bounded BFS only for dirty nodes (those within distance k
-//     of any splice endpoint — a superset of every changed ball),
+// cold run. IncrementalEngine keeps the PREVIOUS snapshot's k-balls as
+// packed, id-sorted rows in stable-id space, listens to splices through a
+// DirtyBallTracker, and per snapshot
+//   * re-runs graph::ball over the rings, radix-sorted by stable id, only
+//     for dirty nodes (those within distance k-1 of any splice endpoint —
+//     a superset of every changed ball),
 //   * translates all balls stable→dense and assembles the G/H CSR arrays
-//     directly (Graph::from_csr + Overlay::build_with_balls), skipping the
-//     per-node BFS, the per-ball sort, and the vector-of-vectors staging of
-//     the full rebuild.
+//     directly (Graph::from_csr + Overlay::build_with_balls): the map is
+//     monotone, so clean balls are reused without a BFS or a re-sort.
 // The result is bitwise identical to MutableOverlay::snapshot() — the
 // config's verify_against_full debug mode asserts exactly that on every
 // call, and the property suite replays hundreds of seeded op interleavings
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "incremental/dirty_ball.hpp"
 
 namespace byz::incremental {
@@ -71,13 +70,15 @@ class IncrementalEngine {
   }
 
  private:
-  void recompute_ball(NodeId stable, graph::BfsScratch& scratch,
-                      std::vector<graph::BallEntry>& tmp);
-
   MutableOverlay* overlay_;
   Config config_;
   DirtyBallTracker tracker_;
-  std::vector<std::vector<graph::BallEntry>> balls_;  ///< by stable id
+  // The last snapshot's balls, self excluded: stable id v's row is
+  // [ball_off_[v], ball_off_[v + 1]) of ball_ids_ (stable ids, sorted) and
+  // ball_dists_ (H-distances); departed ids have empty rows.
+  std::vector<std::uint64_t> ball_off_;
+  std::vector<NodeId> ball_ids_;
+  std::vector<std::uint8_t> ball_dists_;
   std::vector<std::uint8_t> last_dirty_;
   bool has_snapshot_ = false;
   IncrementalStats stats_;

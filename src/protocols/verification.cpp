@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/bfs.hpp"
 #include "util/parallel.hpp"
 
 namespace byz::proto {
 
 using graph::NodeId;
-
-namespace {
-
-void path_dfs(const graph::Graph& h, const std::vector<bool>& byz,
-              std::vector<bool>& on_path, NodeId v, std::uint32_t depth,
-              std::uint32_t cap, std::uint32_t& best) {
-  best = std::max(best, depth);
-  if (best >= cap) return;
-  for (const NodeId w : h.neighbors(v)) {
-    if (byz[w] && !on_path[w]) {
-      on_path[w] = true;
-      path_dfs(h, byz, on_path, w, depth + 1, cap, best);
-      on_path[w] = false;
-      if (best >= cap) return;
-    }
-  }
-}
-
-}  // namespace
 
 const char* to_string(MembershipPolicy policy) {
   switch (policy) {
@@ -39,29 +21,28 @@ const char* to_string(MembershipPolicy policy) {
 std::uint32_t byz_path_ending_at(const graph::Graph& h_simple,
                                  const std::vector<bool>& byz_mask,
                                  NodeId endpoint, std::uint32_t cap) {
-  if (!byz_mask[endpoint]) return 0;
-  std::vector<bool> on_path(h_simple.num_nodes(), false);
-  on_path[endpoint] = true;
-  std::uint32_t best = 1;
-  path_dfs(h_simple, byz_mask, on_path, endpoint, 1, cap, best);
-  return best;
+  return byz_chain_length(endpoint, cap, graph::csr_neighbors(h_simple),
+                          [&](NodeId w) { return byz_mask[w]; });
 }
+
+namespace {
+
+/// Calls visit(id, dist) over v's row of G.
+auto g_row(const graph::Overlay& overlay, NodeId v) {
+  return [&overlay, v](auto&& visit) {
+    const auto nbrs = overlay.g().neighbors(v);
+    const auto dists = overlay.g_dists(v);
+    for (std::size_t s = 0; s < nbrs.size(); ++s) visit(nbrs[s], dists[s]);
+  };
+}
+
+}  // namespace
 
 void verifier_ball_row(const graph::Overlay& overlay, NodeId v,
                        std::uint32_t* out) {
   const std::uint32_t k = overlay.k();
   if (k >= 16) throw std::invalid_argument("Verifier: k too large");
-  // Cumulative ball sizes from the overlay's distance annotations.
-  const auto dists = overlay.g_dists(v);
-  std::uint32_t per_r[16] = {};  // k is a small constant (<= 15 guarded)
-  for (const auto dval : dists) {
-    if (dval >= 1 && dval <= k) ++per_r[dval];
-  }
-  std::uint32_t cum = 1;  // the sender itself
-  for (std::uint32_t r = 1; r <= k; ++r) {
-    cum += per_r[r];
-    out[r - 1] = cum;
-  }
+  ball_counts_row(k, g_row(overlay, v), out);
 }
 
 std::uint8_t verifier_chain_len(const graph::Overlay& overlay,
@@ -75,13 +56,8 @@ std::uint8_t verifier_chain_len(const graph::Overlay& overlay,
   }
   // kRewired: Byzantine nodes within B_H(v, k-1) can pose as a chain by
   // claiming fake Byz-Byz H-edges that survive the crash rule.
-  std::uint32_t count = 1;
-  const auto nbrs = overlay.g().neighbors(v);
-  const auto dists = overlay.g_dists(v);
-  for (std::size_t s = 0; s < nbrs.size(); ++s) {
-    if (dists[s] <= k - 1 && byz_mask[nbrs[s]]) ++count;
-  }
-  return static_cast<std::uint8_t>(std::min<std::uint32_t>(count, 255));
+  return rewired_chain_len(k, g_row(overlay, v),
+                           [&](NodeId w) { return byz_mask[w]; });
 }
 
 Verifier::Verifier(const graph::Overlay& overlay,

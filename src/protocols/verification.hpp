@@ -56,6 +56,7 @@
 //                      by one phase.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -150,12 +151,71 @@ class Verifier {
   bool tabled_ = false;
 };
 
-/// Longest simple Byzantine-only path in H ending at `endpoint`, capped.
-/// Exposed for tests and E9.
+/// Longest simple path of Byzantine nodes ending at `endpoint`, in nodes,
+/// capped at `cap` (0 if `endpoint` is honest): a depth-first search over a
+/// graph::ball() neighbor functor. The path (<= cap nodes) is its own
+/// visited set.
+template <class Neighbors, class IsByz>
+[[nodiscard]] std::uint32_t byz_chain_length(graph::NodeId endpoint,
+                                             std::uint32_t cap,
+                                             Neighbors&& neighbors,
+                                             IsByz&& is_byz) {
+  if (!is_byz(endpoint)) return 0;
+  std::vector<graph::NodeId> path{endpoint};
+  std::uint32_t best = 1;
+  const auto extend = [&](const auto& self) -> void {
+    best = std::max(best, static_cast<std::uint32_t>(path.size()));
+    if (best >= cap) return;
+    const graph::NodeId tail = path.back();  // push_back may move path
+    neighbors(tail, [&](graph::NodeId w) {
+      if (best >= cap || !is_byz(w) ||
+          std::find(path.begin(), path.end(), w) != path.end()) {
+        return;
+      }
+      path.push_back(w);
+      self(self);
+      path.pop_back();
+    });
+  };
+  extend(extend);
+  return best;
+}
+
+/// byz_chain_length over H's simple view. Exposed for tests and E9.
 [[nodiscard]] std::uint32_t byz_path_ending_at(const graph::Graph& h_simple,
                                                const std::vector<bool>& byz_mask,
                                                graph::NodeId endpoint,
                                                std::uint32_t cap);
+
+/// The Verifier's per-node state from one k-ball, G's row of v or a
+/// graph::ball() row: `for_each_entry(visit)` calls visit(id, dist) per
+/// member (a distance-0 center is ignored). Writes |B(v, r)|, r = 1..k.
+template <class ForEachEntry>
+void ball_counts_row(std::uint32_t k, ForEachEntry&& for_each_entry,
+                     std::uint32_t* out) {
+  std::uint32_t per_r[16] = {};  // k is a small constant (<= 15 guarded)
+  for_each_entry([&](graph::NodeId, std::uint8_t dist) {
+    if (dist >= 1 && dist <= k) ++per_r[dist];
+  });
+  std::uint32_t cum = 1;  // the center itself
+  for (std::uint32_t r = 1; r <= k; ++r) {
+    cum += per_r[r];
+    out[r - 1] = cum;
+  }
+}
+
+/// The kRewired chain of a Byzantine center over the same ball entries:
+/// itself plus every Byzantine member at distance 1..k-1, capped at 255.
+template <class ForEachEntry, class IsByz>
+[[nodiscard]] std::uint8_t rewired_chain_len(std::uint32_t k,
+                                             ForEachEntry&& for_each_entry,
+                                             IsByz&& is_byz) {
+  std::uint32_t count = 1;
+  for_each_entry([&](graph::NodeId w, std::uint8_t dist) {
+    if (dist >= 1 && dist <= k - 1 && is_byz(w)) ++count;
+  });
+  return static_cast<std::uint8_t>(std::min<std::uint32_t>(count, 255));
+}
 
 /// One node's cumulative ball-count row — the primary constructor's
 /// per-node computation, exposed so the warm tier can refresh exactly the

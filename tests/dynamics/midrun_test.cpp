@@ -101,6 +101,72 @@ TEST(LiveOverlayFeedTest, GrowsStableMaskAndEndsAtTraceMembership) {
   EXPECT_GT(departed, 0u);
 }
 
+TEST(LiveOverlayFeedTest, LiveRowsMatchTheSnapshotVerifierAtEveryBoundary) {
+  // Under kReadmitNextPhase the feed rebuilds its Verifier from the live
+  // run-id adjacency at each boundary. Those rows and chains must be what
+  // the tabled Verifier reads off G of a fresh snapshot, node for node.
+  for (const auto model :
+       {proto::ChainModel::kStrict, proto::ChainModel::kRewired}) {
+    constexpr NodeId kN0 = 160;
+    dynamics::MutableOverlay overlay(kN0, 8, 0, 21);
+    util::Xoshiro256 place_rng(4);
+    std::vector<bool> byz = graph::random_byzantine_mask(
+        kN0, sim::derive_byz_count(kN0, 0.25), place_rng);
+    dynamics::ChurnEpoch epoch;
+    epoch.joins = 12;
+    epoch.sybil_joins = 8;
+    epoch.leaves = 14;
+    constexpr std::uint64_t kRounds = 60;
+    const auto schedule = dynamics::derive_schedule(epoch, kRounds, 5);
+    dynamics::MidRunConfig mid_cfg;
+    mid_cfg.policy = proto::MembershipPolicy::kReadmitNextPhase;
+    proto::VerificationConfig verification;
+    verification.chain_model = model;
+    util::Xoshiro256 churn_rng(31);
+    dynamics::LiveOverlayFeed feed(overlay, byz, schedule, mid_cfg,
+                                   verification, adv::ChurnAdversary::kNone,
+                                   churn_rng);
+
+    std::vector<NodeId> admitted;
+    std::uint32_t phase = 1;
+    std::uint64_t chains_seen = 0;
+    for (std::uint64_t round = 0; round < kRounds; round += 5, ++phase) {
+      proto::RoundClock clock;
+      clock.phase = phase;
+      clock.round = round;
+      feed.begin_round(clock, {});
+      const proto::Verifier* verifier = feed.begin_phase(phase, admitted);
+      ASSERT_NE(verifier, nullptr);
+
+      const auto snap = overlay.snapshot();
+      std::vector<bool> dense_byz(snap.dense_to_stable.size());
+      for (std::size_t i = 0; i < dense_byz.size(); ++i) {
+        dense_byz[i] = byz[snap.dense_to_stable[i]];
+      }
+      std::vector<std::uint32_t> want(snap.overlay.k());
+      for (NodeId r = 0; r < feed.node_bound(); ++r) {
+        if (!feed.alive(r)) continue;
+        const NodeId dense = snap.to_dense(feed.run_to_stable()[r]);
+        ASSERT_NE(dense, graph::kInvalidNode) << "run id " << r;
+        proto::verifier_ball_row(snap.overlay, dense, want.data());
+        const auto got = verifier->ball_row(r);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                               want.end()))
+            << "ball row of run id " << r << " at round " << round;
+        const auto chain =
+            proto::verifier_chain_len(snap.overlay, dense_byz, dense, model);
+        ASSERT_EQ(verifier->usable_chain(r), chain)
+            << "chain of run id " << r << " at round " << round;
+        chains_seen += chain;
+      }
+    }
+    EXPECT_GT(feed.stats().verifier_refreshes, 0u);
+    EXPECT_GT(feed.stats().joins, 0u);
+    EXPECT_GT(feed.stats().leaves, 0u);
+    EXPECT_GT(chains_seen, 0u) << "no Byzantine chain exercised";
+  }
+}
+
 TEST(MidRunChurnModeTest, ReplaysTraceAndReportsMidRunStats) {
   for (const auto policy : {proto::MembershipPolicy::kTreatAsSilent,
                             proto::MembershipPolicy::kReadmitNextPhase}) {

@@ -53,48 +53,126 @@ TEST(Bfs, BadSourceThrows) {
   EXPECT_THROW((void)bfs_distances(g, 7), std::out_of_range);
 }
 
-TEST(BfsBall, ContainsExactlyTheBall) {
+/// ball() from one center over `g`'s rows.
+std::vector<BallEntry> ball_of(const Graph& g, NodeId center,
+                               std::uint32_t radius) {
+  std::vector<BallEntry> out;
+  ball({&center, 1}, radius, g.num_nodes(), csr_neighbors(g), out);
+  return out;
+}
+
+TEST(Ball, ContainsExactlyTheBall) {
   const Graph g = cycle_graph(10);
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  bfs_ball(g, 0, 2, scratch, ball);
+  const auto b = ball_of(g, 0, 2);
   // Ball of radius 2 on a 10-cycle: {0,1,9,2,8}.
-  ASSERT_EQ(ball.size(), 5u);
-  EXPECT_EQ(ball[0].node, 0u);
-  EXPECT_EQ(ball[0].dist, 0u);
+  ASSERT_EQ(b.size(), 5u);
+  EXPECT_EQ(b[0].node, 0u);
+  EXPECT_EQ(b[0].dist, 0u);
   std::uint32_t at_two = 0;
-  for (const auto& e : ball) {
+  for (const auto& e : b) {
     if (e.dist == 2) ++at_two;
   }
   EXPECT_EQ(at_two, 2u);
 }
 
-TEST(BfsBall, ScratchReusableAcrossCalls) {
+TEST(Ball, ScratchReusableAcrossCalls) {
   const Graph g = cycle_graph(12);
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  bfs_ball(g, 0, 1, scratch, ball);
-  EXPECT_EQ(ball.size(), 3u);
-  bfs_ball(g, 6, 1, scratch, ball);
-  EXPECT_EQ(ball.size(), 3u);
-  EXPECT_EQ(ball[0].node, 6u);
+  EXPECT_EQ(ball_of(g, 0, 1).size(), 3u);
+  const auto b = ball_of(g, 6, 1);
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_EQ(b[0].node, 6u);
+  // A larger id bound after a smaller one grows the thread's scratch.
+  EXPECT_EQ(ball_of(cycle_graph(40), 39, 2).size(), 5u);
+  EXPECT_EQ(ball_of(g, 11, 2).size(), 5u);
 }
 
-TEST(BfsBall, RadiusZeroIsSelf) {
+TEST(Ball, RadiusZeroIsSelf) {
   const Graph g = cycle_graph(5);
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  bfs_ball(g, 2, 0, scratch, ball);
-  ASSERT_EQ(ball.size(), 1u);
-  EXPECT_EQ(ball[0].node, 2u);
+  const auto b = ball_of(g, 2, 0);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].node, 2u);
 }
 
-TEST(BfsBall, StopsWhenBallSaturates) {
+TEST(Ball, StopsWhenBallSaturates) {
   const Graph g = cycle_graph(6);
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  bfs_ball(g, 0, 100, scratch, ball);  // radius >> diameter
-  EXPECT_EQ(ball.size(), 6u);
+  EXPECT_EQ(ball_of(g, 0, 100).size(), 6u);  // radius >> diameter
+}
+
+TEST(Ball, MatchesBfsDistancesEverywhereOnRandomH) {
+  util::Xoshiro256 rng(8);
+  const Graph h = simplify(build_hamiltonian_graph(300, 6, rng));
+  for (NodeId v = 0; v < h.num_nodes(); ++v) {
+    const auto dist = bfs_distances(h, v);
+    for (std::uint32_t r = 1; r <= 4; ++r) {
+      const auto b = ball_of(h, v, r);
+      std::uint32_t within = 0;
+      for (const auto dv : dist) {
+        if (dv <= r) ++within;
+      }
+      ASSERT_EQ(b.size(), within) << "v=" << v << " r=" << r;
+      std::uint8_t last = 0;
+      for (const auto& e : b) {
+        ASSERT_EQ(dist[e.node], e.dist) << "v=" << v << " r=" << r;
+        ASSERT_GE(e.dist, last) << "entries must come in BFS order";
+        last = e.dist;
+      }
+    }
+  }
+}
+
+TEST(Ball, MultiSourceMatchesTruncatedMultiSourceDistances) {
+  util::Xoshiro256 rng(12);
+  const Graph h = simplify(build_hamiltonian_graph(400, 8, rng));
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<NodeId> sources;
+      const auto count = 1 + rng.below(6);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        sources.push_back(static_cast<NodeId>(rng.below(400)));
+      }
+      sources.push_back(sources.front());  // a repeated source is harmless
+      const auto dist = multi_source_distances(h, sources, k - 1);
+      std::vector<BallEntry> b;
+      ball(sources, k - 1, h.num_nodes(), csr_neighbors(h), b);
+      std::uint32_t reached = 0;
+      for (const auto dv : dist) {
+        if (dv != kUnreachable) ++reached;
+      }
+      ASSERT_EQ(b.size(), reached) << "k=" << k << " trial=" << trial;
+      std::set<NodeId> seen;
+      for (const auto& e : b) {
+        ASSERT_TRUE(seen.insert(e.node).second) << "duplicate " << e.node;
+        ASSERT_EQ(dist[e.node], e.dist) << "k=" << k << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(Ball, FilteredFunctorSkipsMaskedNodes) {
+  // Path 0-1-...-9 with node 4 masked out: from 2 the ball stops at 3 on
+  // that side, exactly as if 4 had departed.
+  const Graph g = path_graph(10);
+  std::vector<std::uint8_t> masked(10, 0);
+  masked[4] = 1;
+  const auto live = [&](NodeId u, auto&& visit) {
+    for (const NodeId w : g.neighbors(u)) {
+      if (masked[w] == 0) visit(w);
+    }
+  };
+  const NodeId center = 2;
+  std::vector<BallEntry> b;
+  ball({&center, 1}, 5, g.num_nodes(), live, b);
+  std::set<NodeId> got;
+  for (const auto& e : b) got.insert(e.node);
+  EXPECT_EQ(got, (std::set<NodeId>{0, 1, 2, 3}));
+  // Against the distances of the graph with node 4's edges removed.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < 10; ++v) {
+    if (v != 3 && v != 4) edges.emplace_back(v, v + 1);
+  }
+  const auto dist =
+      bfs_distances(Graph::from_edges(10, edges, true), center, 5);
+  for (const auto& e : b) EXPECT_EQ(dist[e.node], e.dist);
 }
 
 TEST(MultiSource, NearestSourceWins) {
@@ -139,21 +217,6 @@ TEST(FarthestNode, TieBreaksToSmallestId) {
   const Farthest f = farthest_node(g, 0);
   EXPECT_EQ(f.dist, 3u);
   EXPECT_EQ(f.node, 3u);
-}
-
-TEST(Bfs, AgreesWithBallOnRandomRegular) {
-  util::Xoshiro256 rng(21);
-  const Graph h = simplify(build_hamiltonian_graph(200, 6, rng));
-  const auto dist = bfs_distances(h, 17);
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
-  bfs_ball(h, 17, 3, scratch, ball);
-  std::uint32_t within3 = 0;
-  for (const auto dv : dist) {
-    if (dv <= 3) ++within3;
-  }
-  EXPECT_EQ(ball.size(), within3);
-  for (const auto& e : ball) EXPECT_EQ(dist[e.node], e.dist);
 }
 
 /// `count` distinct ids <= max_node: every 2^j - 1, 2^j, 2^j + 1 that fits
@@ -227,14 +290,13 @@ TEST(RadixSortBallKeys, EqualIdsKeepInputOrder) {
 TEST(RadixSortBallKeys, SortsRealBalls) {
   util::Xoshiro256 rng(5);
   const Graph h = simplify(build_hamiltonian_graph(3000, 8, rng));
-  BfsScratch scratch;
-  std::vector<BallEntry> ball;
   std::vector<std::uint64_t> keys;
   std::vector<std::uint64_t> tmp;
   for (NodeId v = 0; v < 3000; v += 97) {
-    bfs_ball(h, v, 3, scratch, ball);
     keys.clear();
-    for (const auto& e : ball) keys.push_back(pack_ball_key(e.node, e.dist));
+    for (const auto& e : ball_of(h, v, 3)) {
+      keys.push_back(pack_ball_key(e.node, e.dist));
+    }
     auto want = keys;
     std::sort(want.begin(), want.end());
     radix_sort_ball_keys(keys, 2999, tmp);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../graph/reference_overlay.hpp"
 #include "incremental/engine.hpp"
 
 namespace byz::incremental {
@@ -57,6 +58,11 @@ TEST(DirtyBall, IncrementalBallsBitwiseEqualFullRebuildOn200SeededTraces) {
       ASSERT_TRUE(overlays_identical(full.overlay, inc.overlay))
           << "trace " << trace << " round " << round << " (n0=" << n0
           << ", d=" << d << ")";
+      // And against the frozen cycle-walk BFS, so the kernel that builds
+      // both snapshots above is not its own oracle.
+      ASSERT_TRUE(overlays_identical(graph::reference_snapshot(overlay).overlay,
+                                     inc.overlay))
+          << "trace " << trace << " round " << round;
     }
   }
 }
@@ -80,6 +86,24 @@ TEST(DirtyBall, TracksOnlyTheSpliceNeighborhood) {
   (void)engine.snapshot();
   EXPECT_GT(engine.stats().balls_reused, before);
   EXPECT_EQ(engine.tracker().dirty_count(), 0u);  // drained again
+}
+
+TEST(DirtyBall, MarksExactlyTheRadiusKMinusOneBallOfTheTouchedNodes) {
+  MutableOverlay overlay(256, 8, 0, 3);
+  DirtyBallTracker tracker(overlay);
+  const std::vector<graph::NodeId> touched{5, 17, 17, 100, 201};
+  tracker.on_splice(touched);
+  // Nothing has spliced yet, so stable ids are dense ids of the snapshot.
+  const auto h = graph::reference_snapshot(overlay).overlay.h_simple();
+  const auto dist =
+      graph::multi_source_distances(h, touched, overlay.k() - 1);
+  std::uint64_t want = 0;
+  for (graph::NodeId v = 0; v < 256; ++v) {
+    const bool within = dist[v] != graph::kUnreachable;
+    want += within ? 1 : 0;
+    EXPECT_EQ(tracker.is_dirty(v), within) << "node " << v;
+  }
+  EXPECT_EQ(tracker.dirty_count(), want);
 }
 
 TEST(DirtyBall, DepartedNodesAreMarkedAndDropped) {

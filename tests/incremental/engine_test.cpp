@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../graph/reference_overlay.hpp"
 #include "graph/small_world.hpp"
 
 namespace byz::incremental {
@@ -19,6 +20,8 @@ TEST(IncrementalEngine, BootstrapSnapshotMatchesTheFullRebuild) {
   const auto inc = engine.snapshot();
   const auto full = overlay.snapshot();
   EXPECT_TRUE(overlays_identical(inc.overlay, full.overlay));
+  const auto ref = graph::reference_snapshot(overlay);
+  EXPECT_TRUE(overlays_identical(inc.overlay, ref.overlay));
   EXPECT_EQ(engine.stats().full_rebuilds, 1u);
   EXPECT_EQ(engine.stats().last_recomputed, 256u);
   EXPECT_EQ(engine.stats().last_reused, 0u);
@@ -39,6 +42,9 @@ TEST(IncrementalEngine, ReusesCleanBallsAcrossEpochs) {
   EXPECT_EQ(stats.full_rebuilds, 1u);
   EXPECT_GT(stats.last_reused, stats.last_recomputed);
   EXPECT_TRUE(overlays_identical(snap.overlay, overlay.snapshot().overlay));
+  const auto ref = graph::reference_snapshot(overlay);
+  EXPECT_EQ(snap.dense_to_stable, ref.dense_to_stable);
+  EXPECT_TRUE(overlays_identical(snap.overlay, ref.overlay));
   // The dirty mask of the last snapshot matches what was recomputed.
   std::uint64_t dirty_alive = 0;
   for (const auto stable : snap.dense_to_stable) {
@@ -81,6 +87,8 @@ TEST(IncrementalEngine, NonIncrementalModeStillReportsDirtyMasks) {
   }
   EXPECT_GT(dirty_alive, 0u);
   EXPECT_LT(dirty_alive, snap.overlay.num_nodes());
+  const auto ref = graph::reference_snapshot(overlay);
+  EXPECT_TRUE(overlays_identical(snap.overlay, ref.overlay));
 }
 
 TEST(IncrementalEngine, OverlaysIdenticalDetectsDifferences) {
